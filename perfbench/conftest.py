@@ -1,0 +1,9 @@
+"""Self-test set-up: the library source and the benchmark modules."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
