@@ -6,7 +6,11 @@ Figure 5 pipeline (parser fields -> firewall ACL -> LPM route ->
 per-port AQM) with ``process_batch`` versus looping per-packet
 ``process`` (the staged columnar fast path), and the same trace
 through the fused chunk kernel the pipeline compiler emits
-(``request_compile``, byte-identical results).  Measured numbers land
+(byte-identical results).  Compilation is the default for every
+``build_switch`` product, staged only when the compiler refuses; the
+processors here are assembled by hand, so the staged walk stays
+measurable and the compiled pass asks for the kernel with
+``request_compile``.  Measured numbers land
 in ``BENCH_fastpath.json`` / ``BENCH_fastpath_compiled.json`` so CI
 can archive them, and each speedup is gated against its committed
 baseline: a >20% regression of the advantage fails the run.

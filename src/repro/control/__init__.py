@@ -14,7 +14,8 @@ two-phase fabric commit (:mod:`repro.control.fleet`).
 Layering: ``repro.control`` sits *above* the dataplane, fabric,
 robustness and observability layers — it may import any of them
 (lazily where needed), and nothing below may import it back except
-the two deprecation shims left at the old dataplane paths.
+the dataplane facade's re-export and the pipeline's default
+controller.
 """
 
 from repro.control.loop import (

@@ -44,6 +44,7 @@ from repro.runtime import (
     TelemetryMiddleware,
     TracingMiddleware,
 )
+from repro.runtime.compile import compile_processor
 from repro.tcam.mtcam import MemristorTCAM
 
 __all__ = ["AnalogPacketProcessor", "ProcessResult", "Verdict"]
@@ -144,7 +145,9 @@ class AnalogPacketProcessor:
             self.default_middleware())
         #: Fused chunk kernel (set by :meth:`request_compile` when the
         #: compiler proves the staged walk reproducible); None keeps
-        #: every entry point on the staged runtime.
+        #: every entry point on the staged runtime.  ``build_switch``
+        #: requests compilation; a processor assembled by hand stays
+        #: staged until asked.
         self._fused = None
         self.compiled_plan = None
         self._compile_requested = False
@@ -204,7 +207,7 @@ class AnalogPacketProcessor:
         self._recompile()
 
     def request_compile(self):
-        """Opt into the fused chunk kernel (when provably exact).
+        """Switch to the fused chunk kernel (when provably exact).
 
         Runs the pipeline compiler (:mod:`repro.runtime.compile`) over
         the current stage/middleware assembly and returns its
@@ -220,14 +223,9 @@ class AnalogPacketProcessor:
         return self._recompile()
 
     def _recompile(self):
-        """Re-run the compiler after a structural change (if opted in)."""
+        """Re-run the compiler after a structural change (if requested)."""
         if not self._compile_requested:
             return None
-        # Deferred import: the compiler is the one runtime module
-        # allowed to see the dataplane, and plain (staged) assembly
-        # should not pay for loading it.
-        from repro.runtime.compile import compile_processor
-
         plan = compile_processor(self)
         self.compiled_plan = plan
         self._fused = plan.kernel

@@ -96,8 +96,7 @@ class SwitchSpec:
 def build_switch(spec: SwitchSpec, *,
                  controller=None,
                  observability=None,
-                 aqm_factory: Callable | None = None,
-                 compile: bool = False):
+                 aqm_factory: Callable | None = None):
     """Assemble a processor (stages + middleware) from a spec.
 
     ``controller``/``observability`` are shared infrastructure the
@@ -105,14 +104,14 @@ def build_switch(spec: SwitchSpec, *,
     overrides the per-port AQM construction (and suppresses the
     spec's ``graceful_degradation`` wrapping, like on the processor).
 
-    ``compile=True`` additionally runs the pipeline compiler
-    (:mod:`repro.runtime.compile`) over the assembled switch: when the
-    stage/middleware shape is provably reproducible the entry points
-    dispatch to one fused chunk kernel (byte-identical verdicts,
-    telemetry and energy); otherwise — e.g. with an observability hub
-    whose tracing middleware needs the staged walk — the processor
-    silently stays staged and ``processor.compiled_plan.reasons``
-    records why.
+    The assembled switch always runs the pipeline compiler
+    (:mod:`repro.runtime.compile`).  When the stage/middleware shape
+    is provably reproducible, every entry point dispatches to one
+    fused chunk kernel (byte-identical verdicts, telemetry and
+    energy).  The switch stays staged only when the compiler refuses
+    — e.g. with an observability hub, whose tracing middleware needs
+    the staged walk — and ``processor.compiled_plan.reasons`` records
+    why.
     """
     # Deferred import: callers importing only the spec vocabulary
     # (e.g. config modules) need not pull in the whole dataplane.
@@ -157,6 +156,5 @@ def build_switch(spec: SwitchSpec, *,
         processor.use_middleware(
             processor.default_middleware()
             + [SupervisionMiddleware(supervisor.tick)])
-    if compile:
-        processor.request_compile()
+    processor.request_compile()
     return processor

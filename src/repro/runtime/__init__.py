@@ -10,8 +10,8 @@ Layering contract (enforced by ``tools/check_layering.py``): this
 package never imports ``repro.dataplane`` or ``repro.netfunc`` — the
 concrete switch stages live with the dataplane and plug in here.  The
 single sanctioned exception is :mod:`repro.runtime.compile` (not
-imported by this package, only by opted-in processors), which must
-see the dataplane stage shapes to compile them; even it never
+imported by this package, only by the dataplane's processor), which
+must see the dataplane stage shapes to compile them; even it never
 imports ``repro.netfunc``.
 """
 

@@ -24,7 +24,9 @@ packet, so :func:`compile_processor` folds it away:
 * **Fusion** executes the digital verdict loop and egress admission
   inline, writing :class:`~repro.dataplane.results.ProcessResult`
   slots directly and bulk-updating ``processed`` /
-  ``verdict_counts`` once per chunk instead of once per packet.
+  ``verdict_counts`` once per chunk instead of once per packet —
+  before the chunk's middleware epilogue, so a supervision tick
+  senses the same counters the staged walk shows it.
   Interior stages (e.g. the aCAM classifier) still run through their
   real ``process_batch`` under a real context, so inserted stages
   never change behaviour — they only anchor the fused prologue and
@@ -34,6 +36,10 @@ packet, so :func:`compile_processor` folds it away:
   (:mod:`repro.core.pcam_fold`), which itself lowers through numba
   when importable and stays pure NumPy/Python otherwise — CI runs
   hermetically either way.
+
+:func:`~repro.dataplane.switch.build_switch` runs the compiler on
+every switch it assembles, so the fused kernel is the default, staged
+only when the compiler refuses (``CompiledPlan.reasons`` says why).
 
 Chunk/stage counters, telemetry totals, gauge samples, ledger
 charges, per-stage energy attribution, RNG draw order and supervision
@@ -165,7 +171,7 @@ class FusedSwitchKernel:
             if self._telemetry is not None else NULL_TALLY
         survivors: list = []
         kept: list[int] = []
-        dropped = 0
+        counts: dict[Verdict, int] = {}
         try:
             if frames:
                 runs = runtime.stage_runs
@@ -179,7 +185,8 @@ class FusedSwitchKernel:
                         tally.event(_PARSE_EVENT)
                         results[offset] = ProcessResult(
                             verdict=Verdict.DROPPED_PARSE)
-                        dropped += 1
+                        counts[Verdict.DROPPED_PARSE] = \
+                            counts.get(Verdict.DROPPED_PARSE, 0) + 1
                     else:
                         survivors.append(packet)
                         kept.append(offset)
@@ -187,11 +194,7 @@ class FusedSwitchKernel:
                     self._energy.record(self._parser_name,
                                         self._ledger.total - before)
         finally:
-            self._finish_chunk(tally, now)
-        if dropped:
-            self._processor.processed += dropped
-            self._processor.verdict_counts[Verdict.DROPPED_PARSE] += \
-                dropped
+            self._finish_chunk(tally, now, counts)
         self.run_chunks(survivors, kept, now, chunk_size, results)
         return results  # type: ignore[return-value]
 
@@ -206,9 +209,8 @@ class FusedSwitchKernel:
         Reproduces the staged walk's chunk/stage counters, tally
         contents, ledger attribution and supervision tick exactly;
         drop verdicts are written straight into the result slots and
-        the processor's totals are bulk-updated once at the end.
+        the processor's totals are bulk-updated once per chunk.
         """
-        processor = self._processor
         runtime = self._runtime
         runtime.chunks += 1
         tally = self._telemetry.tally_factory() \
@@ -225,21 +227,25 @@ class FusedSwitchKernel:
                     self._egress_pass(survivors, kept, ports, now,
                                       tally, results, counts)
         finally:
-            self._finish_chunk(tally, now)
+            self._finish_chunk(tally, now, counts)
+
+    def _finish_chunk(self, tally, now: float,
+                      counts: dict[Verdict, int]) -> None:
+        """The staged walk's chunk epilogue, in middleware exit order.
+
+        The chunk's verdicts are booked first: the staged walk counts
+        each one as it is emitted, so every middleware exit — above
+        all the supervision tick, whose control loop senses exactly
+        these counters — must see them.  Middleware then exit in
+        reverse registration order, so supervision (registered last)
+        ticks before the telemetry tally flushes.
+        """
         if counts:
-            emitted = 0
+            processor = self._processor
             verdict_counts = processor.verdict_counts
             for verdict, n in counts.items():
                 verdict_counts[verdict] += n
-                emitted += n
-            processor.processed += emitted
-
-    def _finish_chunk(self, tally, now: float) -> None:
-        """The staged walk's chunk epilogue, in middleware exit order.
-
-        Middleware exit in reverse registration order, so supervision
-        (registered last) ticks before the telemetry tally flushes.
-        """
+            processor.processed += sum(counts.values())
         supervision = self._supervision
         if supervision is not None:
             supervision.invocations += 1

@@ -6,14 +6,16 @@ refactor established: runtime must stay generic (no dataplane or
 netfunc imports), netfunc must not reach up into the dataplane,
 ``repro.packet`` stays a leaf, and ``repro.control`` sits above
 dataplane/fabric/robustness/observability — nothing imports it from
-below except the sanctioned deprecation shims and the dataplane
-facade's re-export.
+below except the dataplane facade's re-export and the pipeline's
+default controller.
 """
 
+import importlib
 import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,12 +59,7 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
         # The control plane itself may import everything below it...
         "repro/control/good.py": "import repro.fabric\n"
                                  "from repro.dataplane import switch\n",
-        # ...and the sanctioned shim back-edges stay waived.
-        "repro/dataplane/control_loop.py":
-            "from repro.control.intent import Intent\n",
-        "repro/dataplane/controller.py":
-            "from repro.control.cognitive import "
-            "CognitiveNetworkController\n",
+        # ...and the sanctioned back-edge stays waived.
         "repro/dataplane/pipeline.py":
             "from repro.control.cognitive import "
             "CognitiveNetworkController\n",
@@ -111,3 +108,16 @@ def test_runtime_package_imports_no_dataplane_at_runtime():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_dataplane_facade_reexports_control_silently():
+    # The one package-level back-edge of rule 7: the dataplane facade
+    # keeps re-exporting the control-plane classes, without warning.
+    import repro.control as canonical
+    import repro.dataplane as dataplane
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        importlib.reload(dataplane)
+    assert dataplane.IntentController is canonical.IntentController
+    assert dataplane.CognitiveNetworkController \
+        is canonical.CognitiveNetworkController

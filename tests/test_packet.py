@@ -46,18 +46,3 @@ def test_repr_contains_key_facts():
     text = repr(Packet(size_bytes=500, flow_id=3, priority=1))
     assert "500B" in text and "flow=3" in text
 
-
-def test_compat_import_path_warns_deprecation():
-    # Force the module body to re-execute: the warning fires at
-    # import time, once per interpreter, and another test may have
-    # imported the shim already.
-    import sys
-
-    import pytest
-
-    sys.modules.pop("repro.dataplane.packet", None)
-    with pytest.warns(DeprecationWarning,
-                      match="repro.dataplane.packet is deprecated"):
-        import repro.dataplane.packet as compat
-    assert compat.Packet is Packet
-    assert compat.FIVE_TUPLE_FIELDS is FIVE_TUPLE_FIELDS

@@ -9,11 +9,15 @@ twin processors over the same traffic and require *every* observable
 to match: verdicts, ports, counters, telemetry tables/events/gauges,
 chunk and stage-run counts, per-stage energy, cache statistics and
 queue backlogs.  "Fast" may never mean "slightly different".
+
+``build_switch`` compiles every switch it assembles, so a parity test
+pins its staged reference twin with :func:`staged_twin`.
 """
 
 import numpy as np
 import pytest
 
+from repro.control.gate import control_switch_factory
 from repro.dataplane import (
     SwitchSpec,
     Verdict,
@@ -37,6 +41,11 @@ from repro.runtime import (
     TelemetryMiddleware,
 )
 from repro.runtime.compile import compile_processor
+from repro.simnet.scenarios import (
+    default_switch_spec,
+    run_scenario,
+    traffic_classes_spec,
+)
 
 
 def build_spec(**overrides):
@@ -101,6 +110,30 @@ def make_frames(n=60, seed=31):
 
 class NosyMiddleware(BaseMiddleware):
     """Stands in for anything the compiler has never heard of."""
+
+
+def staged_twin(processor):
+    """Pin a spec-built switch to the staged walk (the reference twin).
+
+    An inert middleware the compiler has never heard of makes it
+    refuse, so every entry point keeps the staged runtime while every
+    observable stays that of the stock switch.
+    """
+    processor.use_middleware(
+        list(processor.runtime.middleware) + [NosyMiddleware()])
+    assert not processor.compiled_plan.fused
+    return processor
+
+
+LEARNED_SPEC = default_switch_spec(port_rate_bps=60e6,
+                                   queue_capacity=2_400, n_priorities=1)
+
+
+def learned_control_switch():
+    """The control gate's plant with the SPSA loop attached."""
+    factory = control_switch_factory(
+        learned=True, start_target_s=0.020, start_deviation_s=0.010)
+    return factory(LEARNED_SPEC, 0)
 
 
 class TestPlanAnalysis:
@@ -179,8 +212,7 @@ class TestPlanAnalysis:
 class TestRequestStickiness:
     def test_refusal_keeps_the_staged_walk_working(self):
         processor = build_switch(build_spec(),
-                                 observability=Observability(),
-                                 compile=True)
+                                 observability=Observability())
         assert not processor.compiled_plan.fused
         assert processor._fused is None
         result = processor.process(
@@ -190,7 +222,7 @@ class TestRequestStickiness:
         assert result.verdict is Verdict.QUEUED
 
     def test_middleware_swap_recompiles_both_ways(self):
-        processor = build_switch(build_spec(), compile=True)
+        processor = build_switch(build_spec())
         assert processor.compiled_plan.fused
         processor.use_middleware(
             processor.default_middleware() + [NosyMiddleware()])
@@ -207,19 +239,39 @@ class TestRequestStickiness:
             def process_batch(self, batch, ctx):
                 return batch
 
-        processor = build_switch(build_spec(), compile=True)
+        processor = build_switch(build_spec())
         assert processor.compiled_plan.fused
         processor.insert_stage(Shaper(), before="digital_mats")
         assert not processor.compiled_plan.fused
 
-    def test_without_request_no_compiler_runs(self):
-        processor = build_switch(build_spec())
+    def test_spec_built_switches_compile_by_default(self):
+        switches = {
+            "stock": build_switch(build_spec()),
+            "supervised": build_switch(build_spec(
+                graceful_degradation=True, supervised=True)),
+            "classifier": build_switch(traffic_classes_spec()),
+            "learned control": learned_control_switch(),
+        }
+        for name, processor in switches.items():
+            plan = processor.compiled_plan
+            assert plan.fused, (name, plan.reasons)
+            assert processor._fused is plan.kernel, name
+        traced = build_switch(build_spec(),
+                              observability=Observability())
+        assert not traced.compiled_plan.fused
+        assert traced._fused is None
+        assert any("TracingMiddleware" in reason
+                   for reason in traced.compiled_plan.reasons)
+
+    def test_hand_assembled_processor_stays_staged_until_asked(self):
+        processor = AnalogPacketProcessor(n_ports=2)
         assert processor.compiled_plan is None
         processor.use_middleware(processor.default_middleware())
         assert processor.compiled_plan is None
+        assert processor.request_compile().fused
 
     def test_aqm_lanes_follow_the_plan(self):
-        processor = build_switch(build_spec(), compile=True)
+        processor = build_switch(build_spec())
         manager = processor.traffic_manager
         assert all(manager.aqm(p).compiled_lane
                    for p in range(manager.n_ports))
@@ -232,8 +284,7 @@ class TestRequestStickiness:
                    for p in range(manager.n_ports))
 
     def test_degrading_aqm_lacks_the_lane_and_still_fuses(self):
-        processor = build_switch(
-            build_spec(graceful_degradation=True), compile=True)
+        processor = build_switch(build_spec(graceful_degradation=True))
         assert processor.compiled_plan.fused
         aqm = processor.traffic_manager.aqm(0)
         assert not hasattr(aqm, "enable_compiled_lane")
@@ -265,15 +316,17 @@ def full_state(processor, results):
     }
 
 
-def twin_processors(**spec_overrides):
-    def fresh(compiled):
-        return build_switch(
-            build_spec(**spec_overrides),
-            aqm_factory=lambda: PCAMAQM(rng=np.random.default_rng(5)),
-            compile=compiled)
+def twin_processors(fresh=None, **spec_overrides):
+    """A staged reference and a compiled twin from one builder."""
+    if fresh is None:
+        def fresh():
+            return build_switch(
+                build_spec(**spec_overrides),
+                aqm_factory=lambda: PCAMAQM(
+                    rng=np.random.default_rng(5)))
 
-    staged = fresh(False)
-    compiled = fresh(True)
+    staged = staged_twin(fresh())
+    compiled = fresh()
     assert compiled.compiled_plan.fused, compiled.compiled_plan.reasons
     return staged, compiled
 
@@ -346,3 +399,27 @@ class TestFusedParity:
                            match="chunk size must be >= 1: 0"):
             compiled.process_batch(make_traffic(4), now=0.0,
                                    chunk_size=0)
+
+    def test_learned_control_switch(self):
+        # The SPSA loop rides the supervision tick and senses the
+        # verdict counters, so a chunk counted late would steer the
+        # compiled twin's learner from a stale window.
+        staged, compiled = twin_processors(learned_control_switch)
+        reports = [run_scenario("flash_crowd", seed=0, n_packets=20_000,
+                                spec=LEARNED_SPEC, collect_results=True,
+                                processor_factory=lambda s, seed, p=p: p)
+                   for p in (staged, compiled)]
+        assert reports[0].verdicts == reports[1].verdicts
+        assert reports[0].ports == reports[1].ports
+        assert reports[0].energy_total_j == reports[1].energy_total_j
+        assert full_state(staged, []) == full_state(compiled, [])
+
+        def programming(processor):
+            analogs = [processor.traffic_manager.aqm(port).analog
+                       for port in range(LEARNED_SPEC.n_ports)]
+            return [(a.target_delay_s, a.max_deviation_s)
+                    for a in analogs]
+
+        # The learner moved off its start, identically on both twins.
+        assert programming(staged) == programming(compiled)
+        assert programming(staged)[0] != (0.020, 0.010)

@@ -29,11 +29,9 @@ the architectural layering the staged-runtime refactor established:
 7. ``repro.control`` is the *control plane* and sits above
    everything it closes the loop over: dataplane, fabric,
    robustness and observability may not import it back.  The only
-   sanctioned back-edges are the two deprecation shims left at the
-   old dataplane paths (``repro.dataplane.control_loop``,
-   ``repro.dataplane.controller``), the package facade's silent
-   re-export (``repro.dataplane.__init__``), and the pipeline's
-   default-controller convenience — all re-export/instantiate only.
+   sanctioned back-edges are the package facade's silent re-export
+   (``repro.dataplane.__init__``) and the pipeline's
+   default-controller convenience — re-export/instantiate only.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -69,12 +67,10 @@ FORBIDDEN = {
 #: dataplane it compiles, yet ``repro.netfunc`` stays banned for it.
 EXCEPTIONS = {
     "repro.runtime.compile": ("repro.dataplane",),
-    # Sanctioned control-plane back-edges (rule 7): warn-on-import
-    # deprecation shims, the facade's silent re-export, and the
-    # pipeline's default-controller construction.
+    # Sanctioned control-plane back-edges (rule 7): the facade's
+    # silent re-export and the pipeline's default-controller
+    # construction.
     "repro.dataplane": ("repro.control",),
-    "repro.dataplane.control_loop": ("repro.control",),
-    "repro.dataplane.controller": ("repro.control",),
     "repro.dataplane.pipeline": ("repro.control",),
 }
 
