@@ -212,9 +212,8 @@ class AnalogPacketProcessor:
         Runs the pipeline compiler (:mod:`repro.runtime.compile`) over
         the current stage/middleware assembly and returns its
         :class:`~repro.runtime.compile.CompiledPlan`.  When the plan
-        fuses, every entry point dispatches to the fused kernel and
-        each port AQM's compiled (constant-folded) lane is enabled;
-        when it refuses — tracing middleware, exotic stages — the
+        fuses, every entry point dispatches to the fused kernel; when
+        it refuses — tracing middleware, exotic stages — the
         staged walk stays in place and ``plan.reasons`` says why.  The
         request is sticky: stage insertion and middleware replacement
         recompile automatically.
@@ -229,13 +228,6 @@ class AnalogPacketProcessor:
         plan = compile_processor(self)
         self.compiled_plan = plan
         self._fused = plan.kernel
-        hook_name = ("enable_compiled_lane" if plan.fused
-                     else "disable_compiled_lane")
-        for port in range(self.traffic_manager.n_ports):
-            hook = getattr(self.traffic_manager.aqm(port), hook_name,
-                           None)
-            if hook is not None:
-                hook()
         return plan
 
     def _wire_observability(self, obs: Observability) -> None:

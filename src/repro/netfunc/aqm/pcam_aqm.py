@@ -220,14 +220,12 @@ class PCAMAQM(AQMAlgorithm):
         #: attaches here; None disables monitoring.
         self.output_monitor: Callable[[dict[str, np.ndarray], np.ndarray],
                                       None] | None = None
-        # The compiled admission lane (enabled by the pipeline
-        # compiler, never by default): uniform chunks are judged by
-        # one constant-folded scalar evaluation broadcast over the
-        # chunk instead of n redundant identical rows.  Inert until
-        # :meth:`enable_compiled_lane`, and silently demoted back to
-        # the batch kernel whenever the fold cannot prove exactness
-        # (fault injected, monitor attached, device cells, DACs).
-        self._compiled_lane = False
+        # The folded admission lane: a uniform chunk is judged by one
+        # constant-folded scalar evaluation broadcast over the chunk
+        # instead of n identical rows through the batch kernel.  Each
+        # chunk demotes to the batch kernel whenever the fold cannot
+        # prove exactness (fault injected, pipeline reprogrammed,
+        # monitor, tracer or profiler attached, DAC-routed scaler).
         self._folded = None
 
         self._base_specs = (dict(stage_programs)
@@ -359,39 +357,24 @@ class PCAMAQM(AQMAlgorithm):
             capped = np.minimum(raw, self._input_caps[name])
             batch[name] = self._scalers[name].to_voltage_array(capped)
         pdps = self.pipeline.evaluate_batch(batch)
+        weighted = self._book_searches(pdps, priorities)
+        if self.output_monitor is not None:
+            self.output_monitor(batch, pdps)
+        return weighted
+
+    def _book_searches(self, pdps: np.ndarray,
+                       priorities: np.ndarray | None) -> np.ndarray:
+        """Both lanes' epilogue: count and charge one search per
+        packet, record ``last_pdp``, apply the per-class weights."""
         n = int(pdps.shape[0])
         self.evaluations += n
         self._charge_searches(n)
         self.last_pdp = float(pdps[-1])
-        if self.output_monitor is not None:
-            self.output_monitor(batch, pdps)
-        if priorities is not None:
-            weights = np.array([self.priority_weights.get(int(p), 1.0)
-                                for p in np.atleast_1d(priorities)])
-            pdps = pdps * weights
-        return pdps
-
-    def enable_compiled_lane(self) -> bool:
-        """Opt in to folded uniform admission (the compiler's hook).
-
-        Returns whether the pipeline folds *right now*; the lane
-        re-checks validity on every chunk regardless, so a later
-        reprogramming or fault injection demotes that chunk to the
-        batch kernel transparently.
-        """
-        self._compiled_lane = True
-        self._folded = None
-        return fold_pipeline(self.pipeline) is not None
-
-    def disable_compiled_lane(self) -> None:
-        """Return to the always-batch admission path."""
-        self._compiled_lane = False
-        self._folded = None
-
-    @property
-    def compiled_lane(self) -> bool:
-        """True when folded uniform admission is enabled."""
-        return self._compiled_lane
+        if priorities is None:
+            return pdps
+        weights = np.array([self.priority_weights.get(int(p), 1.0)
+                            for p in np.atleast_1d(priorities)])
+        return pdps * weights
 
     def _folded_drop_probabilities(self, raw: Mapping[str, float],
                                    n: int,
@@ -423,13 +406,7 @@ class PCAMAQM(AQMAlgorithm):
             capped = min(raw[name], self._input_caps[name])
             values.append(scaler.to_voltage(capped))
         pdp = float(folded.evaluate_uniform(values, count=n))
-        self.evaluations += n
-        self._charge_searches(n)
-        self.last_pdp = pdp
-        pdps = np.full(n, pdp)
-        weights = np.array([self.priority_weights.get(int(p), 1.0)
-                            for p in priorities])
-        return pdps * weights
+        return self._book_searches(np.full(n, pdp), priorities)
 
     def pdp(self, queue: QueueView, now: float) -> float:
         """Evaluate the pipeline: the raw Packet Drop Probability."""
@@ -536,9 +513,7 @@ class PCAMAQM(AQMAlgorithm):
             return np.zeros(n, dtype=bool)
         raw = self._raw_features(queue, now)
         priorities = np.array([packet.priority for packet in packets])
-        pdps = None
-        if self._compiled_lane:
-            pdps = self._folded_drop_probabilities(raw, n, priorities)
+        pdps = self._folded_drop_probabilities(raw, n, priorities)
         if pdps is None:
             features = {name: np.full(n, raw[name])
                         for name in self.pipeline.stage_names}

@@ -31,11 +31,11 @@ packet, so :func:`compile_processor` folds it away:
   real ``process_batch`` under a real context, so inserted stages
   never change behaviour — they only anchor the fused prologue and
   epilogue around themselves.
-* **Lowering** is delegated to the analog leg: a fused processor
-  enables each port AQM's compiled lane
-  (:mod:`repro.core.pcam_fold`), which itself lowers through numba
-  when importable and stays pure NumPy/Python otherwise — CI runs
-  hermetically either way.
+* **Lowering** is delegated to the analog leg: every pCAM AQM folds
+  uniform admission chunks on its own (:mod:`repro.core.pcam_fold`),
+  fused or staged, and the fold lowers through numba when importable
+  and stays pure NumPy/Python otherwise — CI runs hermetically
+  either way.
 
 :func:`~repro.dataplane.switch.build_switch` runs the compiler on
 every switch it assembles, so the fused kernel is the default, staged

@@ -10,9 +10,28 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
+from functools import partial
 from typing import Callable, Iterable
 
 __all__ = ["Simulator"]
+
+
+# Heap callbacks hold their simulator weakly: a strong reference would
+# close a sim -> heap -> callback -> sim cycle (DESIGN.md section 6).
+def _fire_chunk(sim_ref: "weakref.ref[Simulator]",
+                chunk: tuple[Callable[[], None], ...]) -> None:
+    for index, callback in enumerate(chunk):
+        callback()
+        if index:  # the loop counts the event itself once
+            sim_ref()._processed += 1
+
+
+def _tick(sim_ref: "weakref.ref[Simulator]", interval: float,
+          callback: Callable[[], None]) -> None:
+    callback()
+    sim_ref().schedule(interval,
+                       partial(_tick, sim_ref, interval, callback))
 
 
 class Simulator:
@@ -72,16 +91,9 @@ class Simulator:
         ``processed`` still advances once per callback.
         """
         chunk = tuple(callbacks)
-        if not chunk:
-            return
-
-        def fire() -> None:
-            for index, callback in enumerate(chunk):
-                callback()
-                if index:  # the loop counts the event itself once
-                    self._processed += 1
-
-        self.schedule(delay, fire)
+        if chunk:
+            self.schedule(delay,
+                          partial(_fire_chunk, weakref.ref(self), chunk))
 
     def stop(self) -> None:
         """Stop the loop after the current event returns."""
@@ -124,10 +136,6 @@ class Simulator:
         unless ``start_delay`` is given)."""
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval!r}")
-
-        def tick() -> None:
-            callback()
-            self.schedule(interval, tick)
-
         self.schedule(interval if start_delay is None else start_delay,
-                      tick)
+                      partial(_tick, weakref.ref(self), interval,
+                              callback))

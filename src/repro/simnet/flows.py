@@ -10,6 +10,7 @@ periods of the network traffic").
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Protocol
 
 import numpy as np
@@ -29,7 +30,11 @@ PacketSink = Callable[[Packet], None]
 
 
 class FlowGenerator(Protocol):
-    """Anything that can be attached to a simulator and emit packets."""
+    """Anything that can be attached to a simulator and emit packets.
+
+    The generators here hold the simulator through a weak proxy, so a
+    finished run is freed by reference counting (DESIGN.md section 6).
+    """
 
     def attach(self, sim: Simulator, sink: PacketSink) -> None:
         """Start emitting packets into ``sink`` on the simulator."""
@@ -82,31 +87,30 @@ class PoissonFlowGenerator:
 
     def attach(self, sim: Simulator, sink: PacketSink) -> None:
         """Start emitting packets into ``sink``."""
+        self._sim = weakref.proxy(sim)
+        self._sink = sink
+        self._schedule_next()
 
-        def emit() -> None:
-            if self.stop_at is not None and sim.now >= self.stop_at:
-                return
-            packet = Packet(size_bytes=self.packet_size_bytes,
-                            flow_id=self.flow_id,
-                            priority=self.priority,
-                            created_at=sim.now)
-            self.generated += 1
-            sink(packet)
-            self._schedule_next(sim, emit)
+    def _emit(self) -> None:
+        now = self._sim.now
+        if self.stop_at is not None and now >= self.stop_at:
+            return
+        packet = Packet(size_bytes=self.packet_size_bytes,
+                        flow_id=self.flow_id,
+                        priority=self.priority,
+                        created_at=now)
+        self.generated += 1
+        self._sink(packet)
+        self._schedule_next()
 
-        self._schedule_next(sim, emit)
-
-    def _schedule_next(self, sim: Simulator,
-                       emit: Callable[[], None]) -> None:
+    def _schedule_next(self) -> None:
+        sim = self._sim
         rate = self._current_rate(sim.now)
         if rate <= 0.0:
             # Silent phase: poll again shortly for the rate to return.
-            sim.schedule(1.0 / self.rate_pps, lambda: self._resume(sim, emit))
+            sim.schedule(1.0 / self.rate_pps, self._schedule_next)
             return
-        sim.schedule(float(self._rng.exponential(1.0 / rate)), emit)
-
-    def _resume(self, sim: Simulator, emit: Callable[[], None]) -> None:
-        self._schedule_next(sim, emit)
+        sim.schedule(float(self._rng.exponential(1.0 / rate)), self._emit)
 
 
 class OnOffFlowGenerator:
@@ -147,33 +151,35 @@ class OnOffFlowGenerator:
 
     def attach(self, sim: Simulator, sink: PacketSink) -> None:
         """Start emitting packets into ``sink`` on the simulator."""
-        def start_on() -> None:
-            self._on = True
-            self._phase_ends = sim.now + float(
-                self._rng.exponential(self.mean_on_s))
-            sim.schedule_at(self._phase_ends, start_off)
-            emit()
+        self._sim = weakref.proxy(sim)
+        self._sink = sink
+        self._start_off()
 
-        def start_off() -> None:
-            self._on = False
-            sim.schedule(float(self._rng.exponential(self.mean_off_s)),
-                         start_on)
+    def _start_on(self) -> None:
+        self._on = True
+        self._phase_ends = self._sim.now + float(
+            self._rng.exponential(self.mean_on_s))
+        self._sim.schedule_at(self._phase_ends, self._start_off)
+        self._emit()
 
-        def emit() -> None:
-            if not self._on or sim.now >= self._phase_ends:
-                return
-            packet = Packet(size_bytes=self.packet_size_bytes,
-                            flow_id=self.flow_id,
-                            priority=self.priority,
-                            created_at=sim.now)
-            self.generated += 1
-            sink(packet)
-            sim.schedule(
-                float(self._rng.exponential(1.0 / self.peak_rate_pps)),
-                emit)
+    def _start_off(self) -> None:
+        self._on = False
+        self._sim.schedule(float(self._rng.exponential(self.mean_off_s)),
+                           self._start_on)
 
-        sim.schedule(float(self._rng.exponential(self.mean_off_s)),
-                     start_on)
+    def _emit(self) -> None:
+        now = self._sim.now
+        if not self._on or now >= self._phase_ends:
+            return
+        packet = Packet(size_bytes=self.packet_size_bytes,
+                        flow_id=self.flow_id,
+                        priority=self.priority,
+                        created_at=now)
+        self.generated += 1
+        self._sink(packet)
+        self._sim.schedule(
+            float(self._rng.exponential(1.0 / self.peak_rate_pps)),
+            self._emit)
 
 
 class ParetoBurstGenerator:
@@ -217,22 +223,25 @@ class ParetoBurstGenerator:
 
     def attach(self, sim: Simulator, sink: PacketSink) -> None:
         """Start emitting packets into ``sink`` on the simulator."""
-        def burst() -> None:
-            count = self._burst_size()
-            for index in range(count):
-                delay = index * self.packet_spacing_s
+        self._sim = weakref.proxy(sim)
+        self._sink = sink
+        self._schedule_burst()
 
-                def emit_one() -> None:
-                    packet = Packet(size_bytes=self.packet_size_bytes,
-                                    flow_id=self.flow_id,
-                                    priority=self.priority,
-                                    created_at=sim.now)
-                    self.generated += 1
-                    sink(packet)
+    def _schedule_burst(self) -> None:
+        self._sim.schedule(
+            float(self._rng.exponential(1.0 / self.burst_rate_hz)),
+            self._burst)
 
-                sim.schedule(delay, emit_one)
-            sim.schedule(float(self._rng.exponential(
-                1.0 / self.burst_rate_hz)), burst)
+    def _burst(self) -> None:
+        for index in range(self._burst_size()):
+            self._sim.schedule(index * self.packet_spacing_s,
+                               self._emit_one)
+        self._schedule_burst()
 
-        sim.schedule(float(self._rng.exponential(1.0 / self.burst_rate_hz)),
-                     burst)
+    def _emit_one(self) -> None:
+        packet = Packet(size_bytes=self.packet_size_bytes,
+                        flow_id=self.flow_id,
+                        priority=self.priority,
+                        created_at=self._sim.now)
+        self.generated += 1
+        self._sink(packet)

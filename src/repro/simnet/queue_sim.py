@@ -7,6 +7,7 @@ the last resort), and full metrics instrumentation.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Sequence
 
@@ -26,7 +27,8 @@ class BottleneckQueue:
     Parameters
     ----------
     sim:
-        The event loop driving arrivals and departures.
+        The event loop driving arrivals and departures, held through
+        a weak proxy: the caller keeps it alive while the queue runs.
     service_rate_bps:
         Drain rate of the output line [bits/s].
     capacity_packets:
@@ -53,7 +55,7 @@ class BottleneckQueue:
         if capacity_packets < 1:
             raise ValueError(
                 f"capacity must be >= 1 packet: {capacity_packets!r}")
-        self.sim = sim
+        self.sim = weakref.proxy(sim)
         self.service_rate_bps = service_rate_bps
         self.capacity_packets = capacity_packets
         self.aqm = aqm or TailDropAQM()

@@ -11,7 +11,9 @@ traces by building an :class:`ArrivalTrace` from arrays.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +114,7 @@ class TraceRecorder:
     """
 
     def __init__(self, sim: Simulator, sink=None) -> None:
-        self._sim = sim
+        self._sim = weakref.proxy(sim)
         self._sink = sink
         self._times: list[float] = []
         self._sizes: list[int] = []
@@ -153,16 +155,17 @@ class TraceReplayGenerator:
 
     def attach(self, sim: Simulator, sink) -> None:
         """Schedule every trace arrival on the simulator."""
+        self._sim = weakref.proxy(sim)
+        self._sink = sink
         for index in range(len(self.trace)):
             when = float(self.trace.times_s[index]) + self.time_offset_s
+            sim.schedule_at(when, partial(self._emit, index))
 
-            def emit(i=index) -> None:
-                packet = Packet(
-                    size_bytes=int(self.trace.sizes_bytes[i]),
-                    flow_id=int(self.trace.flow_ids[i]),
-                    priority=int(self.trace.priorities[i]),
-                    created_at=sim.now)
-                self.replayed += 1
-                sink(packet)
-
-            sim.schedule_at(when, emit)
+    def _emit(self, i: int) -> None:
+        packet = Packet(
+            size_bytes=int(self.trace.sizes_bytes[i]),
+            flow_id=int(self.trace.flow_ids[i]),
+            priority=int(self.trace.priorities[i]),
+            created_at=self._sim.now)
+        self.replayed += 1
+        self._sink(packet)

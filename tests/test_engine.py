@@ -1,5 +1,8 @@
 """The discrete-event loop."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simnet.engine import Simulator
@@ -108,3 +111,20 @@ def test_processed_counter():
         sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.processed == 3
+
+
+def test_rescheduling_callbacks_do_not_pin_the_simulator():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator()
+        sim.every(1.0, lambda: None)
+        sim.schedule_batch(5.0, [lambda: None, lambda: None])
+        sim.run_until(2.5)
+        assert sim.pending == 2
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -6,9 +6,13 @@ tests are mostly about refusals and exact equality: property tests
 pin ``evaluate_uniform`` against ``evaluate_batch`` over uniform
 columns (including degenerate zero-width ramps and non-canonical
 slopes), gating tests pin every documented refusal, and the AQM
-section pins the compiled admission lane indistinguishable from the
-batch path in decisions, counters, energy and ``last_pdp``.
+section pins that every pCAM AQM folds by default, demotes a chunk
+to the batch kernel whenever the fold cannot prove exactness, and is
+indistinguishable from the batch kernel in decisions, counters,
+energy and ``last_pdp``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,7 +26,9 @@ from repro.core.pcam_fold import (
     fold_pipeline,
 )
 from repro.core.pcam_pipeline import PCAMPipeline
+from repro.crossbar.converters import DAC
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
+from repro.observability.hub import Observability
 from repro.packet import Packet
 from repro.robustness import FaultInjector, StuckAtFault
 
@@ -184,22 +190,84 @@ def congested_queue():
     return FakeQueue(packets=600, bytes_=600 * 1200, sojourn=0.05)
 
 
+def batch_only(batch, pdps):
+    """A no-op ``output_monitor``: pins an AQM to the batch kernel."""
+
+
 def aqm_pair(seed=7):
-    """Two identically-seeded AQMs, one with the compiled lane."""
+    """Two identically-seeded AQMs: a batch-kernel reference and one
+    that folds (the default)."""
     plain = PCAMAQM(rng=np.random.default_rng(seed))
+    plain.output_monitor = batch_only
     compiled = PCAMAQM(rng=np.random.default_rng(seed))
-    assert compiled.enable_compiled_lane()
     return plain, compiled
 
 
+def batch_kernel_calls(aqm):
+    """Count the AQM's public batch-kernel calls from now on."""
+    calls = []
+    inner = aqm.drop_probabilities
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    aqm.drop_probabilities = spy
+    return calls
+
+
+def admit_chunk(aqm, now=0.02, n=8):
+    return aqm.on_enqueue_batch([Packet(size_bytes=900) for _ in range(n)],
+                                congested_queue(), now)
+
+
+def with_dac(aqm):
+    name = aqm.pipeline.stage_names[0]
+    scaler = aqm._scalers[name]
+    aqm._scalers[name] = dataclasses.replace(
+        scaler, dac=DAC(bits=8, v_min=scaler.v_lo, v_max=scaler.v_hi))
+
+
 class TestAQMCompiledLane:
-    def test_lane_is_opt_in_and_reversible(self):
-        aqm = PCAMAQM(rng=np.random.default_rng(1))
-        assert not aqm.compiled_lane
-        assert aqm.enable_compiled_lane()
-        assert aqm.compiled_lane
-        aqm.disable_compiled_lane()
-        assert not aqm.compiled_lane
+    def test_folds_by_default_and_demotes_when_unprovable(self):
+        hub = Observability()
+        demotions = {
+            "fault injection": lambda aqm: FaultInjector(
+                StuckAtFault(state="hrs"), cell_fraction=1.0,
+                rng=np.random.default_rng(99)).inject_aqm(aqm),
+            "output_monitor": lambda aqm: setattr(
+                aqm, "output_monitor", batch_only),
+            "tracer": lambda aqm: setattr(
+                aqm.pipeline, "tracer", hub.tracer),
+            "profiler": lambda aqm: setattr(
+                aqm.pipeline, "profiler", hub.profiler),
+            "DAC scaler": with_dac,
+        }
+        for cause, prepare in [("default", lambda aqm: None),
+                               *demotions.items()]:
+            aqm = PCAMAQM(rng=np.random.default_rng(1))
+            prepare(aqm)
+            calls = batch_kernel_calls(aqm)
+            admit_chunk(aqm)
+            assert aqm.evaluations == 8, cause
+            assert (not calls) == (cause == "default"), cause
+
+    def test_reprogramming_never_reuses_a_stale_fold(self):
+        plain, compiled = aqm_pair(seed=3)
+        calls = batch_kernel_calls(compiled)
+        for aqm in (plain, compiled):
+            admit_chunk(aqm)
+        stale = fold_pipeline(compiled.pipeline)
+        for aqm in (plain, compiled):
+            aqm.retarget(0.010)
+        assert not stale.matches(compiled.pipeline)
+        drops_a = admit_chunk(plain, now=0.04)
+        drops_b = admit_chunk(compiled, now=0.04)
+        # The new programming folds afresh, never through the old one.
+        assert not calls
+        assert np.array_equal(drops_a, drops_b)
+        assert plain.last_pdp == compiled.last_pdp
+        assert plain.evaluations == compiled.evaluations
 
     def test_admission_indistinguishable_from_batch_path(self):
         plain, compiled = aqm_pair()

@@ -14,6 +14,8 @@ queue backlogs.  "Fast" may never mean "slightly different".
 pins its staged reference twin with :func:`staged_twin`.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -112,17 +114,50 @@ class NosyMiddleware(BaseMiddleware):
     """Stands in for anything the compiler has never heard of."""
 
 
+def batch_only(batch, pdps):
+    """A no-op ``output_monitor``: pins a pCAM AQM to the batch kernel."""
+
+
 def staged_twin(processor):
     """Pin a spec-built switch to the staged walk (the reference twin).
 
     An inert middleware the compiler has never heard of makes it
     refuse, so every entry point keeps the staged runtime while every
-    observable stays that of the stock switch.
+    observable stays that of the stock switch.  Each bare pCAM AQM is
+    pinned to the batch kernel too, so a parity test also compares
+    the folded admission lane against the kernel it folds.
     """
     processor.use_middleware(
         list(processor.runtime.middleware) + [NosyMiddleware()])
     assert not processor.compiled_plan.fused
+    manager = processor.traffic_manager
+    for port in range(manager.n_ports):
+        aqm = manager.aqm(port)
+        if getattr(aqm, "output_monitor", batch_only) is None:
+            aqm.output_monitor = batch_only
     return processor
+
+
+def batch_kernel_calls(aqm):
+    """Count an AQM's public batch-kernel calls from now on."""
+    calls = []
+    inner = aqm.drop_probabilities
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    aqm.drop_probabilities = spy
+    return calls
+
+
+def admit_congested_chunk(aqm, n=8):
+    """One admission chunk against a deep, slow queue."""
+    queue = SimpleNamespace(backlog_packets=600, backlog_bytes=720_000,
+                            capacity_packets=2000,
+                            service_rate_bps=40e6, last_sojourn_s=0.05)
+    return aqm.on_enqueue_batch(
+        [Packet(size_bytes=900) for _ in range(n)], queue, 0.02)
 
 
 LEARNED_SPEC = default_switch_spec(port_rate_bps=60e6,
@@ -270,24 +305,32 @@ class TestRequestStickiness:
         assert processor.compiled_plan is None
         assert processor.request_compile().fused
 
-    def test_aqm_lanes_follow_the_plan(self):
-        processor = build_switch(build_spec())
-        manager = processor.traffic_manager
-        assert all(manager.aqm(p).compiled_lane
-                   for p in range(manager.n_ports))
-        processor.use_middleware(
-            processor.default_middleware() + [NosyMiddleware()])
-        assert not any(manager.aqm(p).compiled_lane
-                       for p in range(manager.n_ports))
-        processor.use_middleware(processor.default_middleware())
-        assert all(manager.aqm(p).compiled_lane
-                   for p in range(manager.n_ports))
+    def test_traced_switch_aqms_take_the_batch_kernel(self):
+        for observability in (None, Observability()):
+            processor = build_switch(build_spec(),
+                                     observability=observability)
+            manager = processor.traffic_manager
+            for port in range(manager.n_ports):
+                aqm = manager.aqm(port)
+                traced = aqm.pipeline.tracer is not None
+                assert traced == (observability is not None)
+                calls = batch_kernel_calls(aqm)
+                admit_congested_chunk(aqm)
+                assert aqm.evaluations == 8
+                # The hub's tracer sits on the pipeline, so the fold
+                # refuses and spans still see every evaluation.
+                assert bool(calls) == traced, port
 
     def test_degrading_aqm_lacks_the_lane_and_still_fuses(self):
         processor = build_switch(build_spec(graceful_degradation=True))
         assert processor.compiled_plan.fused
-        aqm = processor.traffic_manager.aqm(0)
-        assert not hasattr(aqm, "enable_compiled_lane")
+        analog = processor.traffic_manager.aqm(0).analog
+        # The shadow oracle watches every evaluation through the
+        # analog AQM's output monitor, so it never folds.
+        assert analog.output_monitor is not None
+        calls = batch_kernel_calls(analog)
+        admit_congested_chunk(analog)
+        assert calls and analog.evaluations == 8
 
 
 def full_state(processor, results):

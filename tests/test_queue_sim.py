@@ -1,11 +1,26 @@
 """The event-driven bottleneck queue."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.netfunc.aqm.base import AQMAlgorithm
+from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.packet import Packet
 from repro.simnet.engine import Simulator
+from repro.simnet.flows import (
+    OnOffFlowGenerator,
+    ParetoBurstGenerator,
+    PoissonFlowGenerator,
+)
 from repro.simnet.queue_sim import BottleneckQueue
+from repro.simnet.trace import (
+    ArrivalTrace,
+    TraceRecorder,
+    TraceReplayGenerator,
+)
 
 
 def make_queue(sim=None, rate_bps=8e6, **kwargs):
@@ -110,3 +125,57 @@ def test_validation():
         BottleneckQueue(sim, service_rate_bps=0.0)
     with pytest.raises(ValueError):
         BottleneckQueue(sim, service_rate_bps=1e6, capacity_packets=0)
+
+
+def attach_replay(sim, queue, rng):
+    times = np.sort(rng.uniform(0.0, 0.3, 2000))
+    TraceReplayGenerator(ArrivalTrace(
+        times_s=times, sizes_bytes=np.full(times.size, 1000),
+        flow_ids=np.zeros(times.size, dtype=int),
+        priorities=np.zeros(times.size, dtype=int))).attach(
+            sim, TraceRecorder(sim, queue.enqueue))
+
+
+SOURCES = {
+    "poisson": lambda sim, queue, rng: PoissonFlowGenerator(
+        rate_pps=3000, rng=rng).attach(sim, queue.enqueue),
+    "on_off": lambda sim, queue, rng: OnOffFlowGenerator(
+        peak_rate_pps=9000, mean_on_s=0.02, mean_off_s=0.02,
+        rng=rng).attach(sim, queue.enqueue),
+    "pareto_burst": lambda sim, queue, rng: ParetoBurstGenerator(
+        burst_rate_hz=150, mean_burst_packets=20,
+        rng=rng).attach(sim, queue.enqueue),
+    "trace_replay": attach_replay,
+}
+
+
+@pytest.mark.parametrize("attach", SOURCES.values(), ids=SOURCES.keys())
+def test_finished_plant_is_freed_by_reference_counting(attach):
+    """A dropped Figure-8 plant leaves no cycle for the collector.
+
+    Simulator, pCAM AQM, sampled queue and sources are dropped with
+    pending events still in the heap; with the cycle collector off,
+    reference counting alone must free the recorder.
+    """
+    def run_plant():
+        sim = Simulator()
+        queue = BottleneckQueue(
+            sim, service_rate_bps=40e6, capacity_packets=1500,
+            aqm=PCAMAQM(rng=np.random.default_rng(0)),
+            sample_interval_s=0.01)
+        for index in range(3):
+            attach(sim, queue, np.random.default_rng(index))
+        sim.run_until(0.2)
+        assert sim.pending > 0 and queue.recorder.delivered > 0
+        return weakref.ref(queue.recorder)
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        recorder = run_plant()
+        assert recorder() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
