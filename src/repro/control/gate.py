@@ -73,32 +73,15 @@ def control_switch_factory(*, learned: bool,
     envelope = envelope or DelayEnvelope()
 
     def factory(spec, seed):
-        from repro.dataplane.switch import build_switch
-        from repro.netfunc.aqm.pcam_aqm import PCAMAQM
-        from repro.robustness.degradation import DegradingAQM
+        from repro.simnet.scenarios import build_scenario_switch
 
-        ports = iter(range(spec.n_ports))
-        aqms = []
-
-        def aqm_factory():
-            port = next(ports)
-            analog = PCAMAQM(
-                target_delay_s=start_target_s,
-                max_deviation_s=start_deviation_s,
-                order=order,
-                adaptation=False,
-                rng=np.random.default_rng((seed, port, 0xA11A)))
-            wrapped = DegradingAQM(analog) \
-                if spec.graceful_degradation else analog
-            aqms.append(wrapped)
-            return wrapped
-
-        processor = build_switch(spec, aqm_factory=aqm_factory)
-        for aqm in aqms:
-            # One energy account for the whole switch, matching the
-            # scenario runner's default factory.
-            getattr(aqm, "analog", aqm).ledger = processor.ledger
+        processor = build_scenario_switch(
+            spec, seed, target_delay_s=start_target_s,
+            max_deviation_s=start_deviation_s, order=order,
+            adaptation=False)
         if learned:
+            manager = processor.traffic_manager
+            aqms = [manager.aqm(port) for port in range(manager.n_ports)]
             policy = policy_cls.for_aqm(
                 aqms[0], seed=seed, envelope=envelope)
             gate = EnvelopeGate(AQMActuator(*aqms), aqms)

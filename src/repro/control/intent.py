@@ -124,9 +124,8 @@ class IntentController:
         degradation wrapper around the port's AQM is unwrapped so the
         loop retargets the analog table itself.
         """
-        aqm = processor.traffic_manager.aqm(port)
-        analog = getattr(aqm, "analog", aqm)
-        return cls(analog, intent, min_interval_s)
+        return cls(processor.traffic_manager.aqm(port).analog, intent,
+                   min_interval_s)
 
     @property
     def min_interval_s(self) -> float:

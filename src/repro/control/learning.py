@@ -186,7 +186,7 @@ class _LearningPolicy:
     @classmethod
     def for_aqm(cls, aqm, seed: int, **kwargs):
         """Seed the sweep from an AQM's current programming."""
-        analog = getattr(aqm, "analog", aqm)
+        analog = aqm.analog
         rel = analog.max_deviation_s / analog.target_delay_s
         theta0 = np.log([analog.target_delay_s, rel])
         return cls(seed, theta0=theta0, **kwargs)
@@ -495,8 +495,7 @@ class EnvelopeGate:
         for aqm in self.aqms:
             if getattr(aqm, "degraded", False):
                 return False
-            analog = getattr(aqm, "analog", aqm)
-            if self.deviation(analog) > self.pdp_envelope:
+            if self.deviation(aqm.analog) > self.pdp_envelope:
                 return False
         return True
 
@@ -509,14 +508,12 @@ class EnvelopeGate:
         if not self.healthy():
             self.rejections += 1
             return False
-        rollback = [(getattr(aqm, "analog", aqm).target_delay_s,
-                     getattr(aqm, "analog", aqm).max_deviation_s)
+        rollback = [(aqm.analog.target_delay_s, aqm.analog.max_deviation_s)
                     for aqm in self.aqms]
         if not self.inner.apply(action):
             return False
         for aqm, (target, deviation) in zip(self.aqms, rollback):
-            analog = getattr(aqm, "analog", aqm)
-            if self.deviation(analog) > self.pdp_envelope:
+            if self.deviation(aqm.analog) > self.pdp_envelope:
                 self.violations += 1
                 self.inner.apply(Action("retarget", (target, deviation)))
                 return False

@@ -262,7 +262,7 @@ class AQMActuator:
     def __init__(self, *aqms) -> None:
         if not aqms:
             raise ValueError("need at least one AQM to actuate")
-        self.aqms = tuple(getattr(aqm, "analog", aqm) for aqm in aqms)
+        self.aqms = tuple(aqm.analog for aqm in aqms)
 
     @property
     def aqm(self):

@@ -47,7 +47,6 @@ from repro.core.pcam_array import (
 )
 from repro.core.pcam_cell import MatchRegion, PCAMCell, PCAMParams, prog_pcam
 from repro.core.pcam_pipeline import (
-    BATCH_COMPOSITIONS,
     COMPOSITIONS,
     MissingFeatureError,
     PCAMPipeline,
@@ -65,7 +64,6 @@ __all__ = [
     "AnalogErrorBudget",
     "AnalogMatchActionTable",
     "ArraySearchResult",
-    "BATCH_COMPOSITIONS",
     "BatchSearchResult",
     "COMPOSITIONS",
     "CognitiveCompiler",

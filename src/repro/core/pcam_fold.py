@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.pcam_cell import PCAMCell
-from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
+from repro.core.pcam_pipeline import COMPOSITIONS, PCAMPipeline
 
 __all__ = ["FoldedPCAMPipeline", "FoldedStage", "LOWERING",
            "fold_pipeline"]
@@ -221,7 +221,7 @@ class FoldedPCAMPipeline:
         # libm rounding is not guaranteed to match NumPy's — run the
         # actual batch reduce over one column instead.
         column = np.asarray(probabilities, dtype=float).reshape(-1, 1)
-        return float(BATCH_COMPOSITIONS[self.composition](column)[0])
+        return float(COMPOSITIONS[self.composition](column)[0])
 
 
 def fold_pipeline(pipeline: PCAMPipeline) -> FoldedPCAMPipeline | None:

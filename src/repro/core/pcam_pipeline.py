@@ -36,7 +36,6 @@ from repro.observability.profiling import profiled
 from repro.observability.tracing import maybe_span
 
 __all__ = [
-    "BATCH_COMPOSITIONS",
     "COMPOSITIONS",
     "MatchStage",
     "MissingFeatureError",
@@ -100,57 +99,32 @@ class MatchStage(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Composition rules.  The batch forms reduce a (n_stages, batch) matrix
-# along axis 0; the scalar forms are retained for API compatibility and
-# reduce a 1-D per-stage vector exactly the way one batch column does.
+# Composition rules: each reduces a (n_stages, batch) probability matrix
+# along axis 0.
 # ----------------------------------------------------------------------
-def _batch_product(probabilities: np.ndarray) -> np.ndarray:
+def _product(probabilities: np.ndarray) -> np.ndarray:
     return np.prod(probabilities, axis=0)
 
 
-def _batch_min(probabilities: np.ndarray) -> np.ndarray:
+def _min(probabilities: np.ndarray) -> np.ndarray:
     return np.min(probabilities, axis=0)
 
 
-def _batch_geometric(probabilities: np.ndarray) -> np.ndarray:
+def _geometric(probabilities: np.ndarray) -> np.ndarray:
     return np.prod(probabilities, axis=0) ** (1.0 / probabilities.shape[0])
 
 
-def _batch_mean(probabilities: np.ndarray) -> np.ndarray:
+def _mean(probabilities: np.ndarray) -> np.ndarray:
     return np.mean(probabilities, axis=0)
 
 
-#: Batch composition rules over a (n_stages, batch) probability matrix.
-BATCH_COMPOSITIONS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
-    "product": _batch_product,
-    "min": _batch_min,
-    "geometric": _batch_geometric,
-    "mean": _batch_mean,
-}
-
-
-def _compose_product(probabilities: np.ndarray) -> float:
-    return float(np.prod(probabilities))
-
-
-def _compose_min(probabilities: np.ndarray) -> float:
-    return float(np.min(probabilities))
-
-
-def _compose_geometric(probabilities: np.ndarray) -> float:
-    return float(np.prod(probabilities) ** (1.0 / len(probabilities)))
-
-
-def _compose_mean(probabilities: np.ndarray) -> float:
-    return float(np.mean(probabilities))
-
-
-#: Available stage-composition rules.  ``"product"`` is the paper's.
-COMPOSITIONS: Mapping[str, Callable[[np.ndarray], float]] = {
-    "product": _compose_product,
-    "min": _compose_min,
-    "geometric": _compose_geometric,
-    "mean": _compose_mean,
+#: Available stage-composition rules over a (n_stages, batch)
+#: probability matrix.  ``"product"`` is the paper's.
+COMPOSITIONS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
+    "product": _product,
+    "min": _min,
+    "geometric": _geometric,
+    "mean": _mean,
 }
 
 
@@ -187,7 +161,6 @@ class PCAMPipeline:
         self._stages = dict(stages)
         self.composition = composition
         self._compose = COMPOSITIONS[composition]
-        self._compose_batch = BATCH_COMPOSITIONS[composition]
         #: Optional observability hooks (set by the hub wiring): a
         #: :class:`repro.observability.tracing.Tracer` emitting one
         #: span per batch evaluation with a child per stage, and a
@@ -305,7 +278,7 @@ class PCAMPipeline:
         matrix = self._feature_matrix(features)
         with maybe_span(self.tracer, "pcam.evaluate_batch",
                         batch=int(matrix.shape[1])):
-            return self._compose_batch(self._stage_probabilities(matrix))
+            return self._compose(self._stage_probabilities(matrix))
 
     def evaluate_trace_batch(self, features: Mapping[str, np.ndarray] |
                              np.ndarray
@@ -319,7 +292,7 @@ class PCAMPipeline:
         with maybe_span(self.tracer, "pcam.evaluate_batch",
                         batch=int(matrix.shape[1])):
             probabilities = self._stage_probabilities(matrix)
-            composite = self._compose_batch(probabilities)
+            composite = self._compose(probabilities)
         per_stage = {name: probabilities[index]
                      for index, name in enumerate(self._stages)}
         return composite, per_stage
@@ -346,7 +319,7 @@ class PCAMPipeline:
                         energy += stage_energy
                     else:
                         rows.append(stage.response_array(matrix[index]))
-            return self._compose_batch(np.stack(rows)), energy
+            return self._compose(np.stack(rows)), energy
 
     # ------------------------------------------------------------------
     # Scalar evaluation (delegates to the batch kernels)

@@ -377,6 +377,15 @@ class AnalogPacketProcessor:
         if obs is not None:
             obs.set_time(now)
 
+    @property
+    def n_ports(self) -> int:
+        """Number of egress ports."""
+        return self.traffic_manager.n_ports
+
+    def dequeue(self, port: int, now: float = 0.0) -> Packet | None:
+        """Serve one packet from an egress port (AQM head drops apply)."""
+        return self.traffic_manager.dequeue(port, now)
+
     def drain(self, port: int, now: float = 0.0,
               limit: int | None = None) -> list[Packet]:
         """Serve pending packets from one egress port."""
@@ -408,3 +417,28 @@ class AnalogPacketProcessor:
     def energy_by_stage(self) -> dict[str, float]:
         """Joules attributed to each runtime stage (middleware view)."""
         return self.runtime.energy_attribution()
+
+    def slice_extremes(self) -> tuple[float, float, int]:
+        """(max delay EWMA, max PDP, max backlog) across the ports.
+
+        Read from each port's pCAM AQM (behind its degradation wrapper,
+        if any) and queue; a
+        :class:`~repro.fabric.fabric.SwitchFabric` reports the same
+        triple across its shards.
+        """
+        manager = self.traffic_manager
+        ports = range(manager.n_ports)
+        analogs = [manager.aqm(port).analog for port in ports]
+        return (max(analog.delay_ewma_s for analog in analogs),
+                max(analog.last_pdp for analog in analogs),
+                max(manager.backlog(port) for port in ports))
+
+    def robustness_stats(self) -> dict:
+        """Fallback events, retries and degraded tables, switch-wide."""
+        aqms = [self.traffic_manager.aqm(p) for p in range(self.n_ports)]
+        return {
+            "fallback_events": sum(getattr(aqm, "fallback_events", 0)
+                                   for aqm in aqms),
+            "retries": sum(getattr(aqm, "retries", 0) for aqm in aqms),
+            "degraded_tables": list(self.controller.degraded_tables()),
+        }

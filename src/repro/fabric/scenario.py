@@ -4,19 +4,19 @@
 ``processor_factory(spec, seed)`` hook; :func:`fabric_scenario_factory`
 builds one that stands a :class:`~repro.fabric.fabric.SwitchFabric`
 where the serial engine would have stood a single switch.  Each shard
-replicates the engine's default construction — per-port PCAM AQMs
-seeded by ``(seed, port, 0xA11A)``, graceful-degradation wrapping,
-AQM ledgers folded into the shard's pipeline ledger — so a one-shard
-fabric is behaviourally the engine's own switch, and an N-shard
-fabric differs only by flow partitioning.
+is the engine's own switch, built by
+:func:`~repro.simnet.scenarios.build_scenario_switch`, so a one-shard
+fabric is behaviourally the engine's switch, and an N-shard fabric
+differs only by flow partitioning.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from repro.fabric.fabric import SwitchFabric
 from repro.fabric.rss import ToeplitzRSS
+from repro.simnet.scenarios import build_scenario_switch
 
 __all__ = ["build_fabric", "fabric_scenario_factory"]
 
@@ -24,37 +24,15 @@ __all__ = ["build_fabric", "fabric_scenario_factory"]
 def build_fabric(spec, seed: int, n_shards: int, *,
                  mode: str = "in_process",
                  rss: ToeplitzRSS | None = None) -> SwitchFabric:
-    """A fabric of scenario-style switches for one (spec, seed).
+    """A fabric of scenario switches for one (spec, seed).
 
-    The shard factory mirrors ``run_scenario``'s default switch
-    construction.  It is a closure (fresh port iterator per shard, so
-    every shard gets the same per-port AQM seeds) and runs inside the
-    forked worker in multiprocessing mode — nothing here needs to
-    pickle.
+    Every shard is :func:`~repro.simnet.scenarios.build_scenario_switch`
+    for the same ``(spec, seed)``, so every shard gets the same
+    per-port AQM seeds.  The shard factory runs inside the forked
+    worker in multiprocessing mode; nothing here needs to pickle.
     """
-    def shard_factory():
-        from repro.dataplane.switch import build_switch
-        from repro.netfunc.aqm.pcam_aqm import PCAMAQM
-        from repro.robustness.degradation import DegradingAQM
-
-        built_ports = iter(range(spec.n_ports))
-
-        def aqm_factory():
-            port = next(built_ports)
-            analog = PCAMAQM(
-                rng=np.random.default_rng((seed, port, 0xA11A)))
-            if spec.graceful_degradation:
-                return DegradingAQM(analog)
-            return analog
-
-        processor = build_switch(spec, aqm_factory=aqm_factory)
-        manager = processor.traffic_manager
-        for port in range(spec.n_ports):
-            aqm = manager.aqm(port)
-            getattr(aqm, "analog", aqm).ledger = processor.ledger
-        return processor
-
-    return SwitchFabric(shard_factory, n_shards, mode=mode, rss=rss)
+    return SwitchFabric(partial(build_scenario_switch, spec, seed),
+                        n_shards, mode=mode, rss=rss)
 
 
 def fabric_scenario_factory(n_shards: int, *,

@@ -33,7 +33,6 @@ __all__ = [
     "InProcessShard",
     "VERDICTS",
     "apply_op",
-    "extremes_of",
     "merge_telemetry",
     "process_columns_on",
     "process_packets_on",
@@ -57,11 +56,6 @@ FABRIC_OPS = frozenset({
 })
 
 
-def _analog(aqm):
-    """The analog AQM inside a possibly-degradation-wrapped table."""
-    return getattr(aqm, "analog", aqm)
-
-
 def apply_op(processor, op: tuple[str, tuple]) -> None:
     """Apply one staged programming op to a shard's processor."""
     name, args = op
@@ -72,13 +66,12 @@ def apply_op(processor, op: tuple[str, tuple]) -> None:
     elif name == "invalidate_flow_cache":
         processor.invalidate_flow_cache()
     elif name == "retarget":
-        manager = processor.traffic_manager
-        for port in range(manager.n_ports):
-            _analog(manager.aqm(port)).retarget(*args)
+        for port in range(processor.n_ports):
+            processor.traffic_manager.aqm(port).analog.retarget(*args)
     elif name == "reprogram_intended":
-        manager = processor.traffic_manager
-        for port in range(manager.n_ports):
-            _analog(manager.aqm(port)).reprogram_intended(*args)
+        for port in range(processor.n_ports):
+            processor.traffic_manager.aqm(port).analog \
+                .reprogram_intended(*args)
     else:
         raise ValueError(f"unknown fabric op {name!r}; "
                          f"known: {sorted(FABRIC_OPS)}")
@@ -130,8 +123,6 @@ def decode_results(codes: np.ndarray, ports: np.ndarray) -> list:
 def snapshot_of(processor) -> dict:
     """One shard's complete observable state, as picklable data."""
     cache = processor.flow_cache
-    manager = processor.traffic_manager
-    ports = range(manager.n_ports)
     return {
         "ledger": processor.ledger,
         "telemetry": processor.telemetry.snapshot(),
@@ -141,26 +132,9 @@ def snapshot_of(processor) -> dict:
         "cache_hits": cache.hits if cache is not None else 0,
         "cache_misses": cache.misses if cache is not None else 0,
         "cache_entries": len(cache) if cache is not None else 0,
-        "degraded_tables": tuple(
-            processor.controller.degraded_tables()),
-        "extremes": extremes_of(processor),
-        "fallback_events": sum(
-            getattr(manager.aqm(p), "fallback_events", 0)
-            for p in ports),
-        "retries": sum(getattr(manager.aqm(p), "retries", 0)
-                       for p in ports),
+        "extremes": processor.slice_extremes(),
+        **processor.robustness_stats(),
     }
-
-
-def extremes_of(processor) -> tuple[float, float, int]:
-    """(max delay EWMA, max PDP, max backlog) across a shard's ports."""
-    manager = processor.traffic_manager
-    ports = range(manager.n_ports)
-    return (
-        max(_analog(manager.aqm(p)).delay_ewma_s for p in ports),
-        max(_analog(manager.aqm(p)).last_pdp for p in ports),
-        max(manager.backlog(p) for p in ports),
-    )
 
 
 def merge_telemetry(snapshots: list[dict]) -> dict:
@@ -213,7 +187,7 @@ class InProcessShard:
 
     def __init__(self, shard_factory) -> None:
         self.processor = shard_factory()
-        self.n_ports = self.processor.traffic_manager.n_ports
+        self.n_ports = self.processor.n_ports
         self._staged: list[tuple[str, tuple]] = []
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -251,10 +225,10 @@ class InProcessShard:
         return snapshot_of(self.processor)
 
     def extremes(self) -> tuple[float, float, int]:
-        return extremes_of(self.processor)
+        return self.processor.slice_extremes()
 
     def dequeue(self, port: int, now: float):
-        return self.processor.traffic_manager.dequeue(port, now)
+        return self.processor.dequeue(port, now)
 
     def close(self) -> None:
         self._pending = None

@@ -36,7 +36,6 @@ from repro.fabric.shards import (
     process_columns_on,
     process_packets_on,
     snapshot_of,
-    extremes_of,
     apply_op,
     FABRIC_OPS,
 )
@@ -90,7 +89,7 @@ def _worker_main(conn, shard_factory) -> None:
     """One shard's process: build the switch, serve pipe commands."""
     processor = shard_factory()
     staged: list = []
-    conn.send(("ready", processor.traffic_manager.n_ports))
+    conn.send(("ready", processor.n_ports))
     while True:
         command = conn.recv()
         kind = command[0]
@@ -114,10 +113,10 @@ def _worker_main(conn, shard_factory) -> None:
         elif kind == "snapshot":
             conn.send(snapshot_of(processor))
         elif kind == "extremes":
-            conn.send(extremes_of(processor))
+            conn.send(processor.slice_extremes())
         elif kind == "dequeue":
             _, port, now = command
-            conn.send(processor.traffic_manager.dequeue(port, now))
+            conn.send(processor.dequeue(port, now))
         elif kind == "close":
             conn.send(("closed",))
             conn.close()

@@ -548,6 +548,17 @@ class PCAMAQM(AQMAlgorithm):
         return self._delay_ewma if self._delay_ewma is not None else 0.0
 
     @property
+    def analog(self) -> "PCAMAQM":
+        """The analog table itself.
+
+        A :class:`~repro.robustness.degradation.DegradingAQM` exposes
+        the pCAM AQM it protects as ``.analog``; a bare AQM is its own
+        analog table, so ``aqm.analog`` reaches the pCAM AQM behind
+        either.
+        """
+        return self
+
+    @property
     def threshold_shift(self) -> float:
         """Current multiplier applied to the zeroth-order thresholds."""
         return self._threshold_shift

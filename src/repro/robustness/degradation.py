@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.pcam_cell import PCAMCell, PCAMParams
-from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
+from repro.core.pcam_pipeline import COMPOSITIONS, PCAMPipeline
 from repro.dataplane.telemetry import TelemetryCollector
 from repro.netfunc.aqm.base import AQMAlgorithm, QueueView
 from repro.netfunc.aqm.codel import CoDelAqm
@@ -67,7 +67,7 @@ class ShadowOracle:
             np.atleast_1d(np.asarray(features[name], dtype=float)))
             for name in self.pipeline.stage_names]
         self.checks += 1
-        return BATCH_COMPOSITIONS[self.pipeline.composition](np.stack(rows))
+        return COMPOSITIONS[self.pipeline.composition](np.stack(rows))
 
     def deviation(self, features: Mapping[str, np.ndarray],
                   outputs: np.ndarray) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -34,6 +35,7 @@ from repro.simnet.engine import Simulator
 from repro.simnet.flows import PoissonFlowGenerator
 from repro.simnet.metrics import DelayRecorder
 from repro.simnet.queue_sim import BottleneckQueue
+from repro.simnet.scenarios import drain_egress
 
 __all__ = ["MultiBottleneckExperiment", "PathResult", "SwitchHopStats",
            "SwitchPathResult", "build_path", "run_switch_path"]
@@ -76,12 +78,16 @@ def build_path(sim: Simulator,
     ``propagation_delays_s`` has one entry per hop: the latency of the
     link *after* that hop (the last entry is the final link to the
     receiver).  The returned list's first queue is the path entry
-    point.
+    point.  The links hold ``sim`` weakly, like the queues do, so the
+    caller keeps its simulator alive while the path runs.
     """
     if len(hop_rates_bps) != len(propagation_delays_s):
         raise ValueError("need one propagation delay per hop")
     if not hop_rates_bps:
         raise ValueError("path needs at least one hop")
+    # Links reach the simulator weakly: a strong reference would close
+    # a sim -> heap -> queue -> link -> sim cycle (DESIGN.md section 6).
+    clock = weakref.proxy(sim)
     queues: list[BottleneckQueue] = []
     for rate in hop_rates_bps:
         queues.append(BottleneckQueue(sim, service_rate_bps=rate,
@@ -91,7 +97,7 @@ def build_path(sim: Simulator,
     def make_forwarder(next_queue: BottleneckQueue,
                        delay: float) -> Callable[[Packet], None]:
         def forward(packet: Packet) -> None:
-            sim.schedule(delay, lambda p=packet: next_queue.enqueue(p))
+            clock.schedule(delay, lambda p=packet: next_queue.enqueue(p))
         return forward
 
     for index in range(len(queues) - 1):
@@ -102,7 +108,7 @@ def build_path(sim: Simulator,
         final_delay = float(propagation_delays_s[-1])
 
         def deliver(packet: Packet) -> None:
-            sim.schedule(final_delay, lambda p=packet: on_delivery(p))
+            clock.schedule(final_delay, lambda p=packet: on_delivery(p))
 
         queues[-1].delivery_listener = deliver
     return queues
@@ -141,10 +147,11 @@ class MultiBottleneckExperiment:
             ) -> PathResult:
         """Execute one run with the given per-hop AQM factory."""
         sim = Simulator()
+        clock = weakref.proxy(sim)
         end_to_end: list[float] = []
 
         def on_delivery(packet: Packet) -> None:
-            end_to_end.append(sim.now - packet.created_at)
+            end_to_end.append(clock.now - packet.created_at)
 
         queues = build_path(
             sim, self.hop_rates_bps, self.propagation_delays_s,
@@ -214,17 +221,6 @@ class SwitchPathResult:
         return sum(hop.energy_total_j for hop in self.hops)
 
 
-def _manager_of(processor):
-    """A processor's egress surface: itself, or its traffic manager.
-
-    A :class:`~repro.fabric.fabric.SwitchFabric` serves ``n_ports`` /
-    ``dequeue`` directly; a single ``build_switch`` product exposes
-    them through its traffic manager.  Duck-typing here is what lets
-    one path mix single switches and whole fabrics hop by hop.
-    """
-    return getattr(processor, "traffic_manager", processor)
-
-
 def run_switch_path(processors: Sequence, stream, *,
                     link_delays_s: Sequence[float],
                     port_rate_bps: float = 200e6,
@@ -233,8 +229,10 @@ def run_switch_path(processors: Sequence, stream, *,
                     max_drain_steps: int = 10_000) -> SwitchPathResult:
     """Drive a traffic stream through a chain of cognitive switches.
 
-    ``processors`` are duck-typed hops — single switches or whole
-    fabrics.  ``stream`` yields
+    ``processors`` are hops — single switches or whole fabrics, which
+    serve egress through the same ``n_ports``/``dequeue`` surface and
+    drain through :func:`~repro.simnet.scenarios.drain_egress`.
+    ``stream`` yields
     :class:`~repro.simnet.workloads.ChunkColumns` (a scenario stream)
     or plain packet sequences.  ``link_delays_s`` has one entry per
     hop: the propagation latency of the link *after* that hop (the
@@ -264,28 +262,23 @@ def run_switch_path(processors: Sequence, stream, *,
     seq = itertools.count()
     admitted = [0] * n_hops
     verdicts: list[Counter] = [Counter() for _ in range(n_hops)]
-    credits = [[0.0] * _manager_of(p).n_ports for p in processors]
+    credits = [[0.0] * p.n_ports for p in processors]
     delivered: list[float] = []
 
-    def drain_hop(hop: int, t_from: float, t_until: float) -> None:
-        if t_until <= t_from:
-            return
-        manager = _manager_of(processors[hop])
-        budget = (t_until - t_from) * port_rate_bps / 8.0
-        for port in range(manager.n_ports):
-            credits[hop][port] += budget
-            while credits[hop][port] > 0.0:
-                packet = manager.dequeue(port, now=t_until)
-                if packet is None:
-                    credits[hop][port] = 0.0
-                    break
-                credits[hop][port] -= packet.size_bytes
-                ready = t_until + delays[hop]
-                if hop + 1 < n_hops:
-                    heapq.heappush(ingress[hop + 1],
-                                   (ready, next(seq), packet))
-                else:
-                    delivered.append(ready - packet.created_at)
+    def link_after(hop: int):
+        """Where a hop's egress drains to: next hop or receiver."""
+        delay = delays[hop]
+        if hop + 1 == n_hops:
+            def receive(packet: Packet, now: float) -> None:
+                delivered.append(now + delay - packet.created_at)
+            return receive
+        heap = ingress[hop + 1]
+
+        def forward(packet: Packet, now: float) -> None:
+            heapq.heappush(heap, (now + delay, next(seq), packet))
+        return forward
+
+    links = [link_after(hop) for hop in range(n_hops)]
 
     def admit_hop(hop: int, t_now: float) -> None:
         batch = []
@@ -301,7 +294,8 @@ def run_switch_path(processors: Sequence, stream, *,
 
     def step(t_from: float, t_until: float) -> None:
         for hop in range(n_hops):
-            drain_hop(hop, t_from, t_until)
+            drain_egress(processors[hop], credits[hop], t_from, t_until,
+                         port_rate_bps, links[hop])
         for hop in range(1, n_hops):
             admit_hop(hop, t_until)
 

@@ -22,6 +22,8 @@ The generator learns about deliveries and drops through the
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -69,6 +71,13 @@ class FeedbackRouter:
             handler(packet)
 
 
+def _notify(flow_ref: "weakref.ref[AIMDFlowGenerator]",
+            handler: Callable, packet: Packet) -> None:
+    flow = flow_ref()
+    if flow is not None:
+        handler(flow, packet)
+
+
 class AIMDFlowGenerator:
     """A window-based congestion-controlled sender.
 
@@ -114,7 +123,16 @@ class AIMDFlowGenerator:
         self.marks_seen = 0
         self._last_backoff = -float("inf")
         self._sim: Simulator | None = None
-        router.register(flow_id, self._on_delivery, self._on_drop)
+        self._sink: Callable[[Packet], None] | None = None
+        # The router (owned by the queue) reaches the sender weakly: the
+        # sender feeds that queue, so a strong handler would close a
+        # sender -> queue -> router -> sender cycle.  The pending emit
+        # on the simulator's heap keeps a running sender alive.
+        flow_ref = weakref.ref(self)
+        router.register(
+            flow_id,
+            partial(_notify, flow_ref, AIMDFlowGenerator._on_delivery),
+            partial(_notify, flow_ref, AIMDFlowGenerator._on_drop))
 
     # ------------------------------------------------------------------
     # Congestion control
@@ -149,21 +167,27 @@ class AIMDFlowGenerator:
         return self.cwnd / self.rtt_s
 
     def attach(self, sim: Simulator, sink) -> None:
-        """Start the self-clocked sender on the simulator."""
-        self._sim = sim
+        """Start the self-clocked sender on the simulator.
 
-        def emit() -> None:
-            packet = Packet(size_bytes=self.packet_size_bytes,
-                            flow_id=self.flow_id,
-                            priority=self.priority,
-                            created_at=sim.now)
-            if self.ecn_capable:
-                packet.fields["ect"] = True
-            self.generated += 1
-            sink(packet)
-            # Slight jitter desynchronises competing flows.
-            interval = 1.0 / self.send_rate_pps
-            jitter = float(self._rng.uniform(0.9, 1.1))
-            sim.schedule(interval * jitter, emit)
+        The sender holds ``sim`` weakly, as the simulator's other
+        sources do; the caller keeps it alive while the flow runs.
+        """
+        self._sim = weakref.proxy(sim)
+        self._sink = sink
+        sim.schedule(float(self._rng.uniform(0.0, self.rtt_s)),
+                     self._emit)
 
-        sim.schedule(float(self._rng.uniform(0.0, self.rtt_s)), emit)
+    def _emit(self) -> None:
+        sim = self._sim
+        packet = Packet(size_bytes=self.packet_size_bytes,
+                        flow_id=self.flow_id,
+                        priority=self.priority,
+                        created_at=sim.now)
+        if self.ecn_capable:
+            packet.fields["ect"] = True
+        self.generated += 1
+        self._sink(packet)
+        # Slight jitter desynchronises competing flows.
+        interval = 1.0 / self.send_rate_pps
+        jitter = float(self._rng.uniform(0.9, 1.1))
+        sim.schedule(interval * jitter, self._emit)

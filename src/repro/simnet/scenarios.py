@@ -63,7 +63,9 @@ __all__ = [
     "Scenario",
     "ScenarioReport",
     "ScenarioWindow",
+    "build_scenario_switch",
     "default_switch_spec",
+    "drain_egress",
     "iter_scenarios",
     "publish_reports",
     "register_scenario",
@@ -669,6 +671,39 @@ def default_switch_spec(**overrides):
     return SwitchSpec(**settings)
 
 
+def build_scenario_switch(spec, seed: int, *, observability=None,
+                          **aqm_options):
+    """The scenario engine's switch for one ``(spec, seed)``.
+
+    Every scenario switch — the engine's own, each fabric shard, the
+    control gate's plant — is built here.  Port ``p`` gets a
+    :class:`~repro.netfunc.aqm.pcam_aqm.PCAMAQM` seeded by
+    ``(seed, p, 0xA11A)`` (``aqm_options`` are forwarded to it),
+    wrapped in a :class:`~repro.robustness.degradation.DegradingAQM`
+    when the spec asks for graceful degradation.  The AQM searches are
+    then booked on the switch ledger: one energy account per switch.
+    """
+    from repro.dataplane.switch import build_switch
+    from repro.netfunc.aqm.pcam_aqm import PCAMAQM
+    from repro.robustness.degradation import DegradingAQM
+
+    ports = iter(range(spec.n_ports))
+
+    def aqm_factory():
+        analog = PCAMAQM(
+            rng=np.random.default_rng((seed, next(ports), 0xA11A)),
+            **aqm_options)
+        return DegradingAQM(analog) if spec.graceful_degradation \
+            else analog
+
+    processor = build_switch(spec, observability=observability,
+                             aqm_factory=aqm_factory)
+    for port in range(spec.n_ports):
+        processor.traffic_manager.aqm(port).analog.ledger = \
+            processor.ledger
+    return processor
+
+
 @dataclass
 class ScenarioWindow:
     """Behavioural counters over one window of a scenario run."""
@@ -823,32 +858,31 @@ class ScenarioReport:
         return payload
 
 
-def _analog(aqm):
-    """The analog AQM inside a possibly-degradation-wrapped table."""
-    return getattr(aqm, "analog", aqm)
-
-
-def _drain(processor, credits: list[float], t_from: float,
-           t_until: float, port_rate_bps: float) -> None:
-    """Serve egress queues at line rate over [t_from, t_until).
+def drain_egress(processor, credits: list[float], t_from: float,
+                 t_until: float, port_rate_bps: float,
+                 sink: Callable | None = None) -> None:
+    """Serve a processor's egress queues at line rate over [t_from, t_until).
 
     Each port accrues byte credit for the elapsed simulated time and
-    dequeues (head drops included, via the traffic manager) until the
-    credit is spent; an idle port forfeits its credit, as real silicon
-    forfeits idle slots.
+    dequeues (head drops included) until the credit is spent; an idle
+    port forfeits its credit, as real silicon forfeits idle slots.
+    Every served packet goes to ``sink(packet, t_until)`` when given.
+    ``processor`` is a switch or a fabric: anything with ``n_ports``
+    and ``dequeue(port, now)``.
     """
     if t_until <= t_from:
         return
-    manager = getattr(processor, "traffic_manager", processor)
     budget = (t_until - t_from) * port_rate_bps / 8.0
-    for port in range(manager.n_ports):
+    for port in range(processor.n_ports):
         credits[port] += budget
         while credits[port] > 0.0:
-            packet = manager.dequeue(port, now=t_until)
+            packet = processor.dequeue(port, now=t_until)
             if packet is None:
                 credits[port] = 0.0
                 break
             credits[port] -= packet.size_bytes
+            if sink is not None:
+                sink(packet, t_until)
 
 
 def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
@@ -862,8 +896,8 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     The stream is generated in ``chunk_size`` column chunks (bounded
     memory) and admitted in ``admission_chunk`` slices so simulated
     time advances at sub-window granularity: before each slice the
-    egress queues drain at line rate up to the slice's start time,
-    then the slice rides ``process_batch`` through the staged runtime.
+    egress queues drain at line rate up to the slice's start time
+    (:func:`drain_egress`), then the slice rides ``process_batch``.
     Windowed counters (drops by cause, cache hits/misses, delay EWMA,
     backlog, last PDP) land in ``n_windows`` equal packet-count
     windows on the returned report.
@@ -874,20 +908,19 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     artifact).  ``collect_results=True`` additionally keeps the
     per-packet verdict/port sequences — the golden tests digest them.
 
-    ``processor_factory(spec, seed)``, when given, replaces the
-    default ``build_switch`` product with any processor exposing the
-    duck-typed surface — e.g. a
+    The processor is :func:`build_scenario_switch`'s product unless
+    ``processor_factory(spec, seed)`` builds another — e.g. a
     :class:`~repro.fabric.fabric.SwitchFabric` via
-    :func:`~repro.fabric.scenario.fabric_scenario_factory`.  A
-    processor without a ``traffic_manager`` must itself provide
-    ``n_ports``/``dequeue`` (egress), ``slice_extremes()`` (windowed
-    maxima) and ``robustness_stats()`` (fallbacks, retries, degraded
-    tables); one with a ``close()`` is closed before returning.
+    :func:`~repro.fabric.scenario.fabric_scenario_factory`.  Switch and
+    fabric present one surface, which is all the engine reads:
+    ``process_batch``, ``n_ports``/``dequeue`` (egress),
+    ``slice_extremes()`` (max delay EWMA, max PDP and max backlog over
+    the ports, read after every slice), ``robustness_stats()``
+    (fallback events, retries, degraded tables), ``processed``,
+    ``verdict_counts``, ``flow_cache`` and the energy totals.  A
+    processor with a ``close()`` is closed before returning.
     """
     from repro.dataplane.results import Verdict
-    from repro.dataplane.switch import build_switch
-    from repro.netfunc.aqm.pcam_aqm import PCAMAQM
-    from repro.robustness.degradation import DegradingAQM
 
     entry = scenario_or_name if isinstance(scenario_or_name, Scenario) \
         else scenario(scenario_or_name)
@@ -903,47 +936,15 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
         spec = default_switch_spec()
 
     observability = None
-    if observe and processor_factory is None:
-        from repro.observability import Observability
-        observability = Observability()
-
     if processor_factory is not None:
         processor = processor_factory(spec, seed)
     else:
-        built_ports = iter(range(spec.n_ports))
+        if observe:
+            from repro.observability import Observability
+            observability = Observability()
+        processor = build_scenario_switch(spec, seed,
+                                          observability=observability)
 
-        def aqm_factory():
-            port = next(built_ports)
-            analog = PCAMAQM(
-                rng=np.random.default_rng((seed, port, 0xA11A)))
-            if spec.graceful_degradation:
-                return DegradingAQM(analog)
-            return analog
-
-        processor = build_switch(spec, observability=observability,
-                                 aqm_factory=aqm_factory)
-        for port in range(spec.n_ports):
-            # One energy account for the whole switch: fold the
-            # analog AQM searches into the pipeline ledger the spec's
-            # default factory would have used.
-            _analog(processor.traffic_manager.aqm(port)).ledger = \
-                processor.ledger
-
-    # A fabric (or any sharded processor) serves egress itself and
-    # summarises its ports; a single switch exposes them through its
-    # traffic manager.
-    manager = getattr(processor, "traffic_manager", None)
-
-    def slice_extremes() -> tuple[float, float, int]:
-        if manager is None:
-            return processor.slice_extremes()
-        ports = range(spec.n_ports)
-        return (max(_analog(manager.aqm(p)).delay_ewma_s for p in ports),
-                max(_analog(manager.aqm(p)).last_pdp for p in ports),
-                max(manager.backlog(p) for p in ports))
-
-    boundaries = np.unique(
-        np.round(np.linspace(1, n, n_windows) * 1.0).astype(int))
     boundaries = [int(b) for b in
                   np.round(np.linspace(n / n_windows, n, n_windows))]
     windows: list[ScenarioWindow] = []
@@ -1006,8 +1007,8 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
         for start in range(0, len(packets), admission_chunk):
             chunk = packets[start:start + admission_chunk]
             t_now = float(times[start])
-            _drain(processor, credits, t_prev, t_now,
-                   spec.port_rate_bps)
+            drain_egress(processor, credits, t_prev, t_now,
+                         spec.port_rate_bps)
             results = processor.process_batch(chunk, now=t_now,
                                               chunk_size=len(chunk))
             if verdicts is not None:
@@ -1017,7 +1018,7 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
             t_last = float(times[min(start + len(chunk),
                                      len(times)) - 1])
             processed += len(chunk)
-            delay_max, pdp_max, backlog_max = slice_extremes()
+            delay_max, pdp_max, backlog_max = processor.slice_extremes()
             delay_sum += delay_max
             delay_ticks += 1
             current.max_delay_ewma_s = max(
@@ -1031,25 +1032,14 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
                 next_boundary += 1
 
     # Final drain: let the tail of the stream leave the queues.
-    _drain(processor, credits, t_prev, t_last + 0.05,
-           spec.port_rate_bps)
+    drain_egress(processor, credits, t_prev, t_last + 0.05,
+                 spec.port_rate_bps)
     if next_boundary < len(boundaries):
         close_window(t_last)
 
     wall = time.perf_counter() - started
     totals = cumulative()
-    if manager is not None:
-        fallback_events = sum(
-            getattr(manager.aqm(port), "fallback_events", 0)
-            for port in range(spec.n_ports))
-        retries = sum(getattr(manager.aqm(port), "retries", 0)
-                      for port in range(spec.n_ports))
-        degraded = tuple(processor.controller.degraded_tables())
-    else:
-        stats = processor.robustness_stats()
-        fallback_events = stats["fallback_events"]
-        retries = stats["retries"]
-        degraded = tuple(stats["degraded_tables"])
+    stats = processor.robustness_stats()
     if observability is not None:
         metrics = observability.snapshot()
     elif observe and hasattr(processor, "poll_metrics"):
@@ -1070,18 +1060,17 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
         windows=windows,
         cache_hits=totals["hits"],
         cache_misses=totals["misses"],
-        degraded_tables=degraded,
-        fallback_events=fallback_events,
-        retries=retries,
+        degraded_tables=tuple(stats["degraded_tables"]),
+        fallback_events=stats["fallback_events"],
+        retries=stats["retries"],
         energy_total_j=processor.energy_total_j(),
         energy_breakdown=processor.energy_breakdown(),
         verdicts=verdicts,
         ports=out_ports,
         metrics=metrics)
-    if processor_factory is not None:
-        closer = getattr(processor, "close", None)
-        if closer is not None:
-            closer()
+    closer = getattr(processor, "close", None)
+    if closer is not None:
+        closer()
     return report
 
 

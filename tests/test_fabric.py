@@ -215,3 +215,57 @@ def test_switch_path_of_fabrics_delivers():
     finally:
         for hop in hops:
             hop.close()
+
+
+def degrade(aqm):
+    """Fault the analog AQM and evaluate it until its monitor trips."""
+    from repro.robustness import FaultInjector, StuckAtFault
+
+    analog = aqm.analog
+    FaultInjector(StuckAtFault(state="lrs"), cell_fraction=1.0,
+                  rng=np.random.default_rng(3)).inject_aqm(analog)
+    features = {name: np.full(2, analog.target_delay_s
+                              if name in ("sojourn_time", "buffer_size")
+                              else 0.0)
+                for name in analog.pipeline.stage_names}
+    for _ in range(aqm.check_interval * aqm.trip_after):
+        analog.drop_probabilities(features)
+    assert aqm.degraded
+
+
+def test_one_shard_fabric_reports_the_switch_port_summary():
+    from repro.simnet.scenarios import build_scenario_switch, drain_egress
+
+    spec = default_switch_spec()
+    switch = build_scenario_switch(spec, 7)
+    fabric = build_fabric(spec, 7, 1)
+    # Port 1 stuck-at faulted and degraded in both; the supervision
+    # tick's retries cannot repair stuck cells.
+    for processor in (switch, fabric.shards[0].processor):
+        degrade(processor.traffic_manager.aqm(1))
+    credits = [[0.0] * spec.n_ports for _ in range(2)]
+    t_prev = 0.0
+    degraded = set()
+    try:
+        for cols in scenario("flash_crowd").stream(
+                seed=7, n_packets=20_000, chunk_size=1000):
+            for start in range(0, 1000, 250):
+                t_now = float(cols.times_s[start])
+                for processor, credit in zip((switch, fabric), credits):
+                    drain_egress(processor, credit, t_prev, t_now,
+                                 spec.port_rate_bps)
+                    packets = cols.to_packets()[start:start + 250]
+                    processor.process_batch(packets, now=t_now,
+                                            chunk_size=len(packets))
+                t_prev = t_now
+                assert switch.slice_extremes() == fabric.slice_extremes()
+                stats = switch.robustness_stats()
+                assert fabric.robustness_stats() == {
+                    **stats, "degraded_tables": [
+                        f"shard0.{table}"
+                        for table in stats["degraded_tables"]]}
+                degraded.update(stats["degraded_tables"])
+        assert degraded == {"port1.pcam_aqm"}
+        assert stats["fallback_events"] > 0 and stats["retries"] > 0
+    finally:
+        fabric.close()

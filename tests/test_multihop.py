@@ -1,5 +1,8 @@
 """Multi-bottleneck paths."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,30 @@ class TestBuildPath:
 
 
 class TestMultiBottleneckExperiment:
+    def test_finished_path_is_freed_by_reference_counting(self):
+        """A dropped path run leaves no cycle for the collector.
+
+        The simulator is dropped with pending events still in its
+        heap; with the cycle collector off, reference counting alone
+        must free every hop's recorder.
+        """
+        def run_path():
+            result = MultiBottleneckExperiment(duration_s=0.3).run(
+                lambda: PCAMAQM(rng=np.random.default_rng(0)))
+            assert result.delivered > 0
+            return [weakref.ref(r) for r in result.per_hop_recorders]
+
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            recorders = run_path()
+            assert all(recorder() is None for recorder in recorders)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_congestion_forms_at_tight_hop(self):
         experiment = MultiBottleneckExperiment(
             load=1.3, duration_s=3.0,
@@ -88,3 +115,26 @@ class TestMultiBottleneckExperiment:
         with pytest.raises(ValueError):
             MultiBottleneckExperiment(hop_rates_bps=(1e6,),
                                       propagation_delays_s=(0.1, 0.2))
+
+
+class TestSwitchPath:
+    def test_path_of_switches_delivers_every_queued_packet(self):
+        from repro.simnet.multihop import run_switch_path
+        from repro.simnet.scenarios import (build_scenario_switch,
+                                            default_switch_spec, scenario)
+
+        spec = default_switch_spec()
+        hops = [build_scenario_switch(spec, 11),
+                build_scenario_switch(spec, 12)]
+        result = run_switch_path(
+            hops, scenario("flash_crowd").stream(seed=5, n_packets=1200,
+                                                 chunk_size=600),
+            link_delays_s=[0.002, 0.003],
+            port_rate_bps=spec.port_rate_bps)
+        assert result.hops[0].admitted == 1200
+        assert result.hops[1].admitted == \
+            result.hops[0].verdict_counts["queued"]
+        assert result.delivered == result.hops[1].verdict_counts["queued"]
+        assert result.end_to_end_delays_s.min() >= 0.005
+        # The tail drain empties every hop's egress queues.
+        assert all(hop.slice_extremes()[2] == 0 for hop in hops)

@@ -1,6 +1,7 @@
 """The event-driven bottleneck queue."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.simnet.flows import (
     PoissonFlowGenerator,
 )
 from repro.simnet.queue_sim import BottleneckQueue
+from repro.simnet.responsive import AIMDFlowGenerator, FeedbackRouter
 from repro.simnet.trace import (
     ArrivalTrace,
     TraceRecorder,
@@ -136,6 +138,20 @@ def attach_replay(sim, queue, rng):
             sim, TraceRecorder(sim, queue.enqueue))
 
 
+AIMD_FLOW_IDS = itertools.count()
+
+
+def attach_aimd(sim, queue, rng):
+    """An AIMD sender, fed back through a router the queue owns."""
+    router = getattr(queue.delivery_listener, "__self__", None)
+    if router is None:
+        router = FeedbackRouter()
+        queue.delivery_listener = router.on_delivery
+        queue.drop_listener = router.on_drop
+    AIMDFlowGenerator(router, rtt_s=0.02, flow_id=next(AIMD_FLOW_IDS),
+                      rng=rng).attach(sim, queue.enqueue)
+
+
 SOURCES = {
     "poisson": lambda sim, queue, rng: PoissonFlowGenerator(
         rate_pps=3000, rng=rng).attach(sim, queue.enqueue),
@@ -146,6 +162,7 @@ SOURCES = {
         burst_rate_hz=150, mean_burst_packets=20,
         rng=rng).attach(sim, queue.enqueue),
     "trace_replay": attach_replay,
+    "aimd": attach_aimd,
 }
 
 
