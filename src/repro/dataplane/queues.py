@@ -37,6 +37,10 @@ class PacketQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
+    def __iter__(self):
+        """The buffered packets, head first (nothing is removed)."""
+        return iter(self._queue)
+
     @property
     def backlog_bytes(self) -> int:
         """Bytes currently buffered."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from repro.packet import Packet
@@ -107,6 +108,21 @@ class TrafficManager:
                 self.stats[port].dequeued += 1
                 return packet
         return None
+
+    def peek(self, port: int, limit: int) -> list[Packet] | None:
+        """The next ``limit`` packets :meth:`dequeue` would serve.
+
+        Strict priority, then FIFO; nothing is removed.  A list
+        shorter than ``limit`` holds everything the port has pending.
+        """
+        if not 0 <= port < self.n_ports:
+            raise IndexError(f"port {port} out of range")
+        ahead: list[Packet] = []
+        for queue in self._queues[port]:
+            ahead.extend(islice(queue, limit - len(ahead)))
+            if len(ahead) >= limit:
+                break
+        return ahead
 
     def backlog(self, port: int) -> int:
         """Pending packets on a port across all classes."""
@@ -249,6 +265,13 @@ class CognitiveTrafficManager(TrafficManager):
         """Serve the next packet, honouring AQM head drops."""
         with maybe_span(self.tracer, "tm.dequeue", port=port):
             return self._dequeue(port, now)
+
+    def peek(self, port: int, limit: int) -> list[Packet] | None:
+        """As :meth:`TrafficManager.peek`; ``None`` for a port whose
+        AQM may drop at the head, which only a real dequeue decides."""
+        if self.aqm(port).drops_at_head:
+            return None
+        return super().peek(port, limit)
 
     def _dequeue(self, port: int, now: float) -> Packet | None:
         while True:

@@ -13,13 +13,14 @@ from repro.fabric.fabric import SwitchFabric
 from repro.fabric.rss import SYMMETRIC_RSS_KEY, ToeplitzRSS
 from repro.fabric.scenario import build_fabric, fabric_scenario_factory
 from repro.fabric.shards import FABRIC_OPS, VERDICTS, InProcessShard
-from repro.fabric.workers import WorkerShard
+from repro.fabric.workers import ShardWorkerError, WorkerShard
 
 __all__ = [
     "FABRIC_OPS",
     "FabricController",
     "InProcessShard",
     "SYMMETRIC_RSS_KEY",
+    "ShardWorkerError",
     "SwitchFabric",
     "ToeplitzRSS",
     "VERDICTS",

@@ -48,7 +48,7 @@ from repro.fabric.shards import (
     merge_ledgers,
     merge_telemetry,
 )
-from repro.fabric.workers import WorkerShard
+from repro.fabric.workers import ShardWorkerError, WorkerShard
 from repro.simnet.workloads import ChunkColumns
 
 __all__ = ["SwitchFabric"]
@@ -73,6 +73,31 @@ class _MergedFlowCacheView:
 
     def __len__(self) -> int:
         return self.entries
+
+
+class _DispatchLock:
+    """The chunk-dispatch lock, poisoned by the first worker failure.
+
+    A failed shard may leave its siblings holding replies nobody will
+    read, so after a :class:`ShardWorkerError` every later dispatch
+    raises instead of desynchronising (or hanging on) a pipe.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.failure: ShardWorkerError | None = None
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+        if self.failure is not None:
+            self._lock.release()
+            raise ShardWorkerError("fabric unusable: a shard worker failed",
+                                   self.failure.worker_traceback)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, ShardWorkerError):
+            self.failure = exc
+        self._lock.release()
 
 
 class SwitchFabric:
@@ -115,7 +140,7 @@ class SwitchFabric:
         self.shards = [shard_cls(shard_factory) for _ in range(n_shards)]
         self.n_ports = self.shards[0].n_ports
         self.controller = FabricController(self)
-        self._lock = threading.Lock()
+        self._lock = _DispatchLock()
         self._generation = 0
         self._hashed_packets = 0
         self._per_shard_packets = np.zeros(n_shards, dtype=np.int64)

@@ -82,6 +82,16 @@ class AQMAlgorithm(abc.ABC):
         """Return True to discard the head packet instead of serving it."""
         return False
 
+    @property
+    def drops_at_head(self) -> bool:
+        """True when :meth:`on_dequeue` may discard a head packet.
+
+        Any subclass that overrides ``on_dequeue`` is assumed to drop
+        at the head unless it declares otherwise; a port whose AQM
+        never does can be served from a look-ahead of its queues.
+        """
+        return type(self).on_dequeue is not AQMAlgorithm.on_dequeue
+
     def reset(self) -> None:
         """Clear any controller state between runs."""
 

@@ -531,10 +531,11 @@ class PCAMAQM(AQMAlgorithm):
                     drops[index] = False
         return drops
 
+    #: Serves every head packet; ``on_dequeue`` only tracks delay.
+    drops_at_head = False
+
     def on_dequeue(self, packet: Packet, queue: QueueView,
                    now: float, sojourn_s: float) -> bool:
-        # Never drops at the head; just tracks the measured delay for
-        # the adaptation controller.
         """Track the measured delay EWMA (never drops at head)."""
         if self._delay_ewma is None:
             self._delay_ewma = sojourn_s

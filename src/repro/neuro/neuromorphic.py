@@ -190,6 +190,9 @@ class NeuromorphicAQM(AQMAlgorithm):
         pdp = self.pdp(queue, now)
         return bool(self._rng.random() < pdp)
 
+    #: Serves every head packet; ``on_dequeue`` only learns.
+    drops_at_head = False
+
     def on_dequeue(self, packet: Packet, queue: QueueView,
                    now: float, sojourn_s: float) -> bool:
         """Feed the delay-error teaching signal (never drops)."""

@@ -286,6 +286,11 @@ class DegradingAQM(AQMAlgorithm):
             return self.fallback.on_dequeue(packet, queue, now, sojourn_s)
         return self.analog.on_dequeue(packet, queue, now, sojourn_s)
 
+    @property
+    def drops_at_head(self) -> bool:
+        """Only the fallback, while it serves, may drop at the head."""
+        return self.degraded and self.fallback.drops_at_head
+
     def reset(self) -> None:
         """Reset both paths and return to analog service."""
         self.analog.reset()

@@ -905,8 +905,11 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     ``observe=True`` attaches an
     :class:`~repro.observability.hub.Observability` hub and folds its
     final snapshot into the report (the per-scenario telemetry
-    artifact).  ``collect_results=True`` additionally keeps the
-    per-packet verdict/port sequences — the golden tests digest them.
+    artifact); with a ``processor_factory`` it polls the processor's
+    ``poll_metrics()`` instead, and a processor without one is a
+    ``ValueError`` before anything runs.  ``collect_results=True``
+    additionally keeps the per-packet verdict/port sequences — the
+    golden tests digest them.
 
     The processor is :func:`build_scenario_switch`'s product unless
     ``processor_factory(spec, seed)`` builds another — e.g. a
@@ -938,6 +941,14 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     observability = None
     if processor_factory is not None:
         processor = processor_factory(spec, seed)
+        if observe and not hasattr(processor, "poll_metrics"):
+            closer = getattr(processor, "close", None)
+            if closer is not None:
+                closer()
+            raise ValueError(
+                f"observe=True needs a processor with poll_metrics(); "
+                f"processor_factory built a {type(processor).__name__}, "
+                f"which has none")
     else:
         if observe:
             from repro.observability import Observability
@@ -1042,7 +1053,7 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     stats = processor.robustness_stats()
     if observability is not None:
         metrics = observability.snapshot()
-    elif observe and hasattr(processor, "poll_metrics"):
+    elif observe:
         metrics = processor.poll_metrics()
     else:
         metrics = None

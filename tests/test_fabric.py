@@ -269,3 +269,218 @@ def test_one_shard_fabric_reports_the_switch_port_summary():
         assert stats["fallback_events"] > 0 and stats["retries"] > 0
     finally:
         fabric.close()
+
+
+# ----------------------------------------------------------------------
+# Multiprocessing egress: look-ahead runs are exact, failures are loud
+# ----------------------------------------------------------------------
+def _degraded_port_switch(spec, seed):
+    """The scenario switch with port 1 on its CoDel fallback."""
+    from repro.simnet.scenarios import build_scenario_switch
+
+    switch = build_scenario_switch(spec, seed)
+    degrade(switch.traffic_manager.aqm(1))
+    return switch
+
+
+def _recorder(served):
+    """A ``drain_egress`` sink recording each served packet."""
+    def sink(packet, now):
+        served.append((packet.packet_id, packet.sojourn_time))
+    return sink
+
+
+@pytest.mark.parametrize("name", ["cache_churn", "flash_crowd"])
+def test_multiprocessing_egress_matches_in_process(name):
+    import copy
+    from functools import partial
+    from repro.simnet.scenarios import drain_egress
+
+    # Slow ports congest, so port 1's CoDel fallback drops at the head.
+    spec = default_switch_spec(port_rate_bps=40e6)
+    factory = partial(_degraded_port_switch, spec, 7)
+    fabrics = [SwitchFabric(factory, 2, mode="in_process"),
+               SwitchFabric(factory, 2, mode="multiprocessing")]
+    served = [[], []]
+    credits = [[0.0] * spec.n_ports for _ in fabrics]
+    t_prev = 0.0
+    try:
+        for index, cols in enumerate(scenario(name).stream(
+                seed=7, n_packets=6000, chunk_size=250)):
+            t_now = float(cols.times_s[0])
+            # One packet list for both: a deep copy keeps packet ids.
+            packets = cols.to_packets()
+            for fabric, credit, out, batch in zip(
+                    fabrics, credits, served,
+                    (copy.deepcopy(packets), packets)):
+                drain_egress(fabric, credit, t_prev, t_now,
+                             spec.port_rate_bps, sink=_recorder(out))
+                if index % 3 == 1:
+                    # A second dequeue at a later ``now`` mid-run.
+                    packet = fabric.dequeue(index % fabric.n_ports,
+                                            t_now + 1e-4)
+                    if packet is not None:
+                        out.append((packet.packet_id,
+                                    packet.sojourn_time))
+                fabric.process_batch(batch, now=t_now,
+                                     chunk_size=len(batch))
+                if index % 4 == 3:
+                    k = index // 4
+                    fabric.controller.add_route(
+                        f"198.18.{k % 256}.0/24", k % fabric.n_ports
+                    ).commit()
+            t_prev = t_now
+            assert served[0] == served[1]
+            assert fabrics[0].slice_extremes() == \
+                fabrics[1].slice_extremes()
+            assert fabrics[0].verdict_counts == fabrics[1].verdict_counts
+            ledgers = [f.energy_ledger() for f in fabrics]
+            assert dict(ledgers[0]) == dict(ledgers[1])
+            assert ledgers[0].events == ledgers[1].events
+            if index % 5 == 0:
+                polls = [f.poll_metrics() for f in fabrics]
+                for key in ("generation", "processed", "telemetry",
+                            "energy_total_j", "shards"):
+                    assert polls[0][key] == polls[1][key]
+        for fabric, credit, out in zip(fabrics, credits, served):
+            drain_egress(fabric, credit, t_prev, t_prev + 0.5,
+                         spec.port_rate_bps, sink=_recorder(out))
+        assert served[0] == served[1]
+        assert len(served[0]) > 1000
+        assert fabrics[0].robustness_stats()["degraded_tables"] == [
+            "shard0.port1.pcam_aqm", "shard1.port1.pcam_aqm"]
+        # The CoDel fallback dropped at the head: port 1 served fewer
+        # packets than it queued, with nothing left behind.
+        stats = [shard.processor.traffic_manager.stats[1]
+                 for shard in fabrics[0].shards]
+        assert sum(s.enqueued - s.dequeued for s in stats) > 0
+        assert all(fabric.dequeue(port, t_prev + 0.5) is None
+                   for fabric in fabrics
+                   for port in range(fabric.n_ports))
+    finally:
+        for fabric in fabrics:
+            fabric.close()
+
+
+def _count_peeks(fabric):
+    """Wrap every worker pipe's ``send`` to count ``peek`` messages."""
+    peeks = []
+    for shard in fabric.shards:
+        send = shard._conn.send
+
+        def counting(message, send=send):
+            if message[0] == "peek":
+                peeks.append(message[2])
+            return send(message)
+
+        shard._conn.send = counting
+    return peeks
+
+
+def test_full_drain_costs_a_few_peeks_per_shard_not_one_per_packet():
+    import math
+
+    with small_fabric(2, mode="multiprocessing") as fabric:
+        peeks = _count_peeks(fabric)
+        for now in (0.5, 1.5):
+            fabric.process_batch(make_traffic(n=240), now=now)
+            peeks.clear()
+            drained = sum(len(fabric.drain(port, now=now + 0.5))
+                          for port in range(fabric.n_ports))
+            assert drained > 100
+            if now == 0.5:
+                # Cold: runs double from one packet.
+                assert len(peeks) <= fabric.n_shards * fabric.n_ports \
+                    * (math.ceil(math.log2(drained)) + 2)
+            else:
+                # Warm: each run starts from what the port served last.
+                assert len(peeks) <= 2 * fabric.n_shards * fabric.n_ports
+
+
+def _shm_segments():
+    import os
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("psm_")}
+
+
+def _assert_failed_loudly(fabric, before, excinfo, needle):
+    import time
+    from repro.fabric import ShardWorkerError
+
+    assert "Traceback (most recent call last)" in \
+        excinfo.value.worker_traceback
+    assert needle in excinfo.value.worker_traceback
+    assert needle in str(excinfo.value)
+    # Every later call on the fabric raises instead of hanging.
+    cols = next(scenario("cache_churn").stream(seed=1, n_packets=64,
+                                               chunk_size=64))
+    for call in (lambda: fabric.process_columns(cols, now=9.0),
+                 lambda: fabric.dequeue(0, 9.0),
+                 fabric.slice_extremes,
+                 fabric.poll_metrics,
+                 lambda: fabric.controller.commit()):
+        with pytest.raises(ShardWorkerError):
+            call()
+    started = time.perf_counter()
+    fabric.close()
+    assert time.perf_counter() - started < 5.0
+    assert all(not shard._process.is_alive() for shard in fabric.shards)
+    assert _shm_segments() <= before
+
+
+def test_worker_error_at_flip_carries_its_traceback():
+    from repro.fabric import ShardWorkerError
+
+    before = _shm_segments()
+    fabric = build_fabric(default_switch_spec(), 7, 2,
+                          mode="multiprocessing")
+    for cols in scenario("cache_churn").stream(seed=1, n_packets=1000,
+                                               chunk_size=250):
+        fabric.process_columns(cols, now=float(cols.times_s[0]))
+    with pytest.raises(ShardWorkerError) as excinfo:
+        fabric.controller.add_route("198.18.0.0/24", 99).commit()
+    _assert_failed_loudly(fabric, before, excinfo, "port 99 out of range")
+
+
+def test_egress_ack_mismatch_fails_loudly():
+    from repro.fabric import ShardWorkerError
+
+    before = _shm_segments()
+    fabric = build_fabric(default_switch_spec(), 7, 2,
+                          mode="multiprocessing")
+    cols = next(scenario("cache_churn").stream(seed=1, n_packets=1000,
+                                               chunk_size=1000))
+    fabric.process_columns(cols, now=0.0)
+    served = fabric.drain(0, now=0.5, limit=5)
+    assert len(served) == 5
+    # Claim a packet the worker will not pop: its replay must refuse.
+    shard = next(s for s in fabric.shards if s._acks)
+    shard._acks[-1][2][-1] += 10**9
+    with pytest.raises(ShardWorkerError) as excinfo:
+        fabric.slice_extremes()
+    _assert_failed_loudly(fabric, before, excinfo, "egress ack mismatch")
+
+
+def test_worker_error_mid_chunk_unlinks_every_segment():
+    from functools import partial
+    from repro.fabric import ShardWorkerError
+    from repro.simnet.scenarios import build_scenario_switch
+
+    before = _shm_segments()
+    fabric = SwitchFabric(partial(_exploding_switch, build_scenario_switch),
+                          2, mode="multiprocessing")
+    cols = next(scenario("cache_churn").stream(seed=1, n_packets=500,
+                                               chunk_size=500))
+    with pytest.raises(ShardWorkerError) as excinfo:
+        fabric.process_columns(cols, now=0.0)
+    _assert_failed_loudly(fabric, before, excinfo, "shard exploded")
+
+
+def _exploding_switch(build):
+    switch = build(default_switch_spec(), 7)
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("shard exploded")
+
+    switch.process_batch = explode
+    return switch

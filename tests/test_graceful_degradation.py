@@ -104,6 +104,14 @@ class TestFallbackFlip:
         assert telemetry.gauge("pcam_aqm.shadow_deviation") \
             == degrader.last_deviation > 0.05
 
+    def test_only_the_serving_fallback_drops_at_head(self):
+        aqm, degrader, _ = make_degrader()
+        assert not aqm.drops_at_head
+        assert not degrader.drops_at_head
+        inject(aqm, StuckAtFault(state="lrs"))
+        evaluate(aqm)
+        assert degrader.drops_at_head
+
     def test_degraded_table_serves_from_digital_path(self):
         aqm, degrader, _ = make_degrader()
         inject(aqm, StuckAtFault(state="lrs"))

@@ -289,6 +289,14 @@ class TestRunner:
         assert r.metrics is not None
         assert isinstance(r.metrics, dict)
 
+    def test_observe_refuses_a_processor_without_poll_metrics(self):
+        from repro.control.gate import control_switch_factory
+
+        with pytest.raises(ValueError, match="AnalogPacketProcessor"):
+            run_scenario("flash_crowd", n_packets=2000, observe=True,
+                         processor_factory=control_switch_factory(
+                             learned=False))
+
     def test_collect_results_keeps_per_packet_sequences(self):
         r = run_scenario("scan_sweep", seed=3, n_packets=4000,
                          collect_results=True)

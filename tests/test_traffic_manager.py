@@ -63,6 +63,17 @@ class TestTrafficManager:
         with pytest.raises(IndexError):
             manager.queue(9, 0)
 
+    def test_peek_lists_what_dequeue_serves_without_removing(self):
+        manager = TrafficManager(n_ports=1, n_priorities=2)
+        packets = [Packet(priority=p) for p in (1, 0, 1, 0, 1)]
+        for packet in packets:
+            manager.enqueue(0, packet)
+        ahead = manager.peek(0, 4)
+        assert manager.backlog(0) == 5
+        assert manager.peek(0, 99) == ahead + [packets[4]]
+        assert [manager.dequeue(0) for _ in packets] == ahead + [packets[4]]
+        assert manager.peek(0, 3) == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrafficManager(n_ports=0)
@@ -101,6 +112,15 @@ class TestCognitiveTrafficManager:
         manager.enqueue(0, Packet(), now=0.0)
         manager.dequeue(0, now=0.25)
         assert manager.last_sojourn_s(0) == pytest.approx(0.25)
+
+    def test_peek_refuses_a_port_that_drops_at_head(self):
+        assert DropAtDequeueAQM().drops_at_head
+        assert not AlwaysDropAQM().drops_at_head
+        heads = CognitiveTrafficManager(1, DropAtDequeueAQM)
+        heads.enqueue(0, Packet())
+        assert heads.peek(0, 1) is None
+        doors = CognitiveTrafficManager(1, AlwaysDropAQM)
+        assert doors.peek(0, 1) == []
 
     def test_port_rate_validated(self):
         with pytest.raises(ValueError):
